@@ -50,29 +50,3 @@ def bench_full_sufficient_completeness(benchmark):
     spec = courses_algebraic()
     result = benchmark(check_sufficient_completeness, spec, 2)
     assert result.ok
-
-
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def bench_parallel_coverage_domain3(benchmark, workers):
-    """Coverage at the largest domain point (3 students, 3 courses),
-    scaled over worker count; per-run ``VerificationStats`` land in
-    ``extra_info`` (machine-readable via ``--benchmark-json``)."""
-    from repro.parallel import StatsSink
-
-    spec = courses_algebraic(default_students(3), default_courses(3))
-    collected = {}
-
-    def run():
-        sink = StatsSink()
-        report = check_coverage(
-            spec, 2, 5_000, workers=workers, stats=sink
-        )
-        collected["stats"] = sink.combined("coverage")
-        return report
-
-    result = benchmark.pedantic(run, rounds=2, iterations=1)
-    assert result.ok
-    benchmark.extra_info["workers"] = workers
-    benchmark.extra_info["verification_stats"] = (
-        collected["stats"].to_dict()
-    )

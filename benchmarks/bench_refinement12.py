@@ -17,7 +17,6 @@ from repro.applications.courses import (
     default_courses,
     default_students,
 )
-from repro.parallel import StatsSink
 from repro.refinement.first_second import (
     check_refinement,
     check_static_consistency,
@@ -98,64 +97,3 @@ def bench_full_section_44_bundle(benchmark):
     info, carriers, algebra, _ = _setting(2, 2)
     result = benchmark(check_refinement, info, carriers, algebra)
     assert result.ok
-
-
-# ---------------------------------------------------------------------
-# parallel scaling: the tentpole measurement
-# ---------------------------------------------------------------------
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def bench_parallel_exploration_2x3(benchmark, workers):
-    """State-space exploration at the largest parameter point (2, 3),
-    scaled over worker count.
-
-    Each round starts from a fresh algebra (cold rewrite cache) so the
-    worker counts compare like for like; the aggregated
-    ``VerificationStats`` of the last round land in the benchmark's
-    ``extra_info`` (machine-readable via ``--benchmark-json``).
-    """
-    students, cs = 2, 3
-    collected = {}
-
-    def setup():
-        _, _, algebra, _ = _setting(students, cs)
-        return (algebra,), {}
-
-    def run(algebra):
-        sink = StatsSink()
-        graph = algebra.explore(workers=workers, stats=sink)
-        collected["stats"] = sink.combined("explore")
-        return graph
-
-    graph = benchmark.pedantic(run, setup=setup, rounds=2, iterations=1)
-    assert not graph.truncated
-    assert len(graph.states) == 125
-    benchmark.extra_info["workers"] = workers
-    benchmark.extra_info["verification_stats"] = (
-        collected["stats"].to_dict()
-    )
-
-
-@pytest.mark.parametrize("workers", [1, 4])
-def bench_parallel_section_44_bundle(benchmark, workers):
-    """The whole (a)-(d) plan on the 2x2 example, serial vs 4 workers;
-    the reports are asserted identical to the serial path."""
-    collected = {}
-
-    def setup():
-        info, carriers, algebra, _ = _setting(2, 2)
-        return (info, carriers, algebra), {}
-
-    def run(info, carriers, algebra):
-        sink = StatsSink()
-        report = check_refinement(
-            info, carriers, algebra, workers=workers, stats=sink
-        )
-        collected["stats"] = sink.combined("first-second")
-        return report
-
-    result = benchmark.pedantic(run, setup=setup, rounds=2, iterations=1)
-    assert result.ok
-    benchmark.extra_info["workers"] = workers
-    benchmark.extra_info["verification_stats"] = (
-        collected["stats"].to_dict()
-    )

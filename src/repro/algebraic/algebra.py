@@ -24,13 +24,11 @@ from dataclasses import dataclass, field
 from typing import Iterator
 from weakref import WeakValueDictionary
 
-from repro.errors import SpecificationError
+from repro.errors import ReproError, SpecificationError
 from repro.algebraic.rewriting import RewriteEngine, Value
 from repro.algebraic.spec import AlgebraicSpec
 from repro.obs.tracer import OBS_STATE as _OBS, span as _span
 from repro.logic.terms import App, Term
-from repro.parallel.executor import ParallelExecutor
-from repro.parallel.partition import chunk_ranges
 from repro.parallel.stats import (
     StatsSink,
     VerificationStats,
@@ -240,28 +238,6 @@ class StateGraph:
         return len(self.states)
 
 
-def _expand_chunk(algebra: "TraceAlgebra", traces: list[Term]):
-    """Worker chunk: snapshot every successor of every trace.
-
-    Returns one expansion list per trace, each entry ``(update,
-    params, successor trace, successor snapshot)`` in
-    ``update_instances`` order — the data the level merger replays.
-    """
-    before = engine_counters(algebra.engine)
-    expansions = []
-    items = 0
-    for trace in traces:
-        expansion = []
-        for update, params, successor in algebra.successor_traces(trace):
-            expansion.append(
-                (update, params, successor, algebra.snapshot(successor))
-            )
-            items += 1
-        expansions.append(expansion)
-    after = engine_counters(algebra.engine)
-    return expansions, counter_delta(before, after, items)
-
-
 class TraceAlgebra:
     """The finitely generated algebra of an algebraic specification.
 
@@ -430,7 +406,6 @@ class TraceAlgebra:
         self,
         max_states: int = 100_000,
         max_depth: int | None = None,
-        workers: int = 1,
         stats: StatsSink | None = None,
         edge_cache: dict | None = None,
     ) -> StateGraph:
@@ -447,13 +422,7 @@ class TraceAlgebra:
                 its values-keyed transition memo for every update
                 instance whose equations are unchanged, re-exploring
                 only the affected frontier.  Ignored (full explore) on
-                the object and parallel paths.
-            workers: snapshot successor states on this many processes.
-                The BFS is level-synchronous — every level's successor
-                snapshots are computed in parallel, then merged by
-                replaying the serial visit order — so the resulting
-                graph (state order, transition order, witness traces,
-                truncation) is identical for every worker count.
+                the object path.
             stats: optional sink receiving one ``"explore"``
                 :class:`~repro.parallel.stats.VerificationStats`
                 record.
@@ -464,55 +433,27 @@ class TraceAlgebra:
             between explored nodes.
         """
         started = time.perf_counter()
-        with _span("explore", workers=workers) as obs_span:
-            if workers <= 1:
-                before = engine_counters(self.engine)
-                packed = self._explore_packed(
-                    max_states, max_depth, edge_cache
-                )
-                if packed is not None:
-                    graph, items = packed
-                else:
-                    graph, items = self._explore_serial(
-                        max_states, max_depth
-                    )
-                after = engine_counters(self.engine)
-                delta = counter_delta(before, after, items)
-                obs_span.record(delta)
-                obs_span.count("explore.states", len(graph.states))
-                obs_span.count(
-                    "explore.transitions", len(graph.transitions)
-                )
-                if stats is not None:
-                    record = WorkerStats(
-                        worker=0,
-                        wall_time=time.perf_counter() - started,
-                        **delta,
-                    )
-                    stats.add(
-                        VerificationStats.merge(
-                            "explore",
-                            1,
-                            [record],
-                            time.perf_counter() - started,
-                        )
-                    )
-                return graph
-            graph, worker_stats = self._explore_parallel(
-                max_states, max_depth, workers
-            )
+        with _span("explore") as obs_span:
+            before = engine_counters(self.engine)
+            packed = self._explore_packed(max_states, max_depth, edge_cache)
+            if packed is not None:
+                graph, items = packed
+            else:
+                graph, items = self._explore_serial(max_states, max_depth)
+            delta = counter_delta(before, engine_counters(self.engine), items)
+            obs_span.record(delta)
             obs_span.count("explore.states", len(graph.states))
             obs_span.count("explore.transitions", len(graph.transitions))
-            if stats is not None:
-                stats.add(
-                    VerificationStats.merge(
-                        "explore",
-                        workers,
-                        worker_stats,
-                        time.perf_counter() - started,
-                    )
+        if stats is not None:
+            record = WorkerStats(
+                worker=0, wall_time=time.perf_counter() - started, **delta
+            )
+            stats.add(
+                VerificationStats.merge(
+                    "explore", 1, [record], time.perf_counter() - started
                 )
-            return graph
+            )
+        return graph
 
     def _explore_packed(
         self,
@@ -544,10 +485,11 @@ class TraceAlgebra:
             self._packed_explorer = explorer
         try:
             return explorer.explore(max_states, max_depth, edge_cache)
-        except Exception:
+        except (PackedUnsupported, ReproError):
             # The object path re-raises the underlying specification
             # error (incompleteness, non-termination, ...) with the
-            # exact term-level message.
+            # exact term-level message.  Anything else is a bug in the
+            # packed explorer and propagates.
             return None
 
     def _explore_serial(
@@ -584,62 +526,3 @@ class TraceAlgebra:
                     )
         graph = StateGraph(initial_snapshot, states, transitions, truncated)
         return graph, items
-
-    def _explore_parallel(
-        self, max_states: int, max_depth: int | None, workers: int
-    ) -> tuple[StateGraph, list[WorkerStats]]:
-        # The serial BFS is strictly level-ordered (FIFO frontier,
-        # depth grows by one per enqueue), so expanding a whole level
-        # at once and merging in frontier order replays it exactly.
-        initial = self.initial_trace()
-        initial_snapshot = self.snapshot(initial)
-        states: dict[Snapshot, Term] = {initial_snapshot: initial}
-        transitions: list[Transition] = []
-        truncated = False
-        level: list[tuple[Snapshot, Term, int]] = [
-            (initial_snapshot, initial, 0)
-        ]
-        depth_level = 0
-        with ParallelExecutor(workers, context=self) as executor:
-            while level:
-                expandable = [
-                    entry
-                    for entry in level
-                    if max_depth is None or entry[2] < max_depth
-                ]
-                if not expandable:
-                    break
-                chunks = [
-                    [expandable[i][1] for i in chunk]
-                    for chunk in chunk_ranges(len(expandable), workers)
-                ]
-                with _span(
-                    "explore.level",
-                    depth=depth_level,
-                    frontier=len(expandable),
-                ):
-                    results = executor.map(_expand_chunk, chunks)
-                depth_level += 1
-                expansions = [exp for chunk in results for exp in chunk]
-                next_level: list[tuple[Snapshot, Term, int]] = []
-                for (source_snapshot, _, depth), expansion in zip(
-                    expandable, expansions
-                ):
-                    for update, params, successor, target in expansion:
-                        transitions.append(
-                            Transition(
-                                source_snapshot, update, params, target
-                            )
-                        )
-                        if target not in states:
-                            if len(states) >= max_states:
-                                truncated = True
-                                continue
-                            states[target] = successor
-                            next_level.append(
-                                (target, successor, depth + 1)
-                            )
-                level = next_level
-            worker_stats = list(executor.worker_stats)
-        graph = StateGraph(initial_snapshot, states, transitions, truncated)
-        return graph, worker_stats

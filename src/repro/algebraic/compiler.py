@@ -23,8 +23,7 @@ falls back to the rewrite engine (see
 explorer :class:`repro.algebraic.exploration.PackedExplorer`).
 
 This module lives in the algebraic layer so the explorer can compile
-plans without importing the (heavy) serving runtime;
-``repro.runtime.compiler`` re-exports it unchanged.
+plans without importing the (heavy) serving runtime.
 """
 
 from __future__ import annotations

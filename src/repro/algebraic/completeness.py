@@ -46,8 +46,6 @@ from repro.algebraic.equations import ConditionalEquation
 from repro.algebraic.spec import AlgebraicSpec
 from repro.logic.terms import App, Term, Var
 from repro.obs.tracer import span as _span
-from repro.parallel.executor import run_chunked
-from repro.parallel.partition import chunk_ranges
 from repro.parallel.stats import (
     StatsSink,
     VerificationStats,
@@ -231,42 +229,9 @@ def check_termination(spec: AlgebraicSpec) -> TerminationReport:
     )
 
 
-#: The serial early-exit cap on recorded coverage gaps, replayed by
-#: the parallel merger: workers collect at most this many gaps per
-#: chunk, and the merge stops at the same global count as the serial
-#: scan.
+#: The early-exit cap on recorded coverage gaps: the scan stops once
+#: this many are recorded.
 _UNCOVERED_CAP = 10
-
-
-def _coverage_chunk(context, index_range):
-    """Worker chunk: scan an index range of the trace enumeration.
-
-    Returns one ordered list of gap messages per trace scanned.  The
-    chunk stops once it holds :data:`_UNCOVERED_CAP` gaps — the merge
-    can never need more than the cap from a single chunk, because
-    earlier chunks only push the global cap earlier.
-    """
-    algebra, traces = context
-    before = engine_counters(algebra.engine)
-    per_trace: list[list[str]] = []
-    local = 0
-    items = 0
-    for index in index_range:
-        if local >= _UNCOVERED_CAP:
-            break
-        entries: list[str] = []
-        for name, params in algebra.observations:
-            items += 1
-            try:
-                algebra.query(name, *params, trace=traces[index])
-            except (IncompletenessError, NonTerminationError) as exc:
-                entries.append(str(exc))
-                local += 1
-                if local >= _UNCOVERED_CAP:
-                    break
-        per_trace.append(entries)
-    after = engine_counters(algebra.engine)
-    return per_trace, counter_delta(before, after, items)
 
 
 def _missing_constructors(spec: AlgebraicSpec) -> list[tuple[str, str]]:
@@ -286,7 +251,6 @@ def check_coverage(
     spec: AlgebraicSpec,
     depth: int = 3,
     max_traces: int = 5_000,
-    workers: int = 1,
     stats: StatsSink | None = None,
 ) -> CoverageReport:
     """Check that every query evaluates on every trace up to ``depth``.
@@ -297,103 +261,42 @@ def check_coverage(
     equation's condition held (dynamic gap).
 
     Args:
-        workers: scan the trace enumeration on this many processes.
-            The merge replays the serial trace order, including the
-            early exit after ten recorded gaps, so the report is
-            identical for every worker count.
         stats: optional sink receiving one ``"coverage"`` record.
     """
     started = time.perf_counter()
     missing = _missing_constructors(spec)
     algebra = TraceAlgebra(spec)
-
-    if workers <= 1:
-        before = engine_counters(algebra.engine)
-        items = 0
-        uncovered: list[str] = []
-        traces_checked = 0
-        report = None
-        for trace in itertools.islice(algebra.traces(depth), max_traces):
-            traces_checked += 1
-            for name, params in algebra.observations:
-                items += 1
-                try:
-                    algebra.query(name, *params, trace=trace)
-                except (IncompletenessError, NonTerminationError) as exc:
-                    uncovered.append(str(exc))
-                    if len(uncovered) >= _UNCOVERED_CAP:
-                        report = CoverageReport(
-                            ok=False,
-                            missing_constructors=tuple(missing),
-                            uncovered=tuple(uncovered),
-                            traces_checked=traces_checked,
-                        )
-                        break
-            if report is not None:
-                break
-        if report is None:
-            report = CoverageReport(
-                ok=not missing and not uncovered,
-                missing_constructors=tuple(missing),
-                uncovered=tuple(uncovered),
-                traces_checked=traces_checked,
-            )
-        if stats is not None:
-            record = WorkerStats(
-                worker=0,
-                wall_time=time.perf_counter() - started,
-                **counter_delta(
-                    before, engine_counters(algebra.engine), items
-                ),
-            )
-            stats.add(
-                VerificationStats.merge(
-                    "coverage", 1, [record], time.perf_counter() - started
-                )
-            )
-        return report
-
-    traces = list(itertools.islice(algebra.traces(depth), max_traces))
-    chunked, per_worker = run_chunked(
-        _coverage_chunk,
-        (algebra, traces),
-        chunk_ranges(len(traces), workers),
-        workers,
-    )
-    # Replay the serial scan over the per-trace gap lists: the counter
-    # semantics (a trace counts as checked once its scan starts, the
-    # scan stops at the cap mid-trace) match the serial loop exactly.
-    uncovered = []
+    before = engine_counters(algebra.engine)
+    items = 0
+    uncovered: list[str] = []
     traces_checked = 0
-    report = None
-    for entries in itertools.chain.from_iterable(chunked):
+    for trace in itertools.islice(algebra.traces(depth), max_traces):
         traces_checked += 1
-        for entry in entries:
-            uncovered.append(entry)
-            if len(uncovered) >= _UNCOVERED_CAP:
-                report = CoverageReport(
-                    ok=False,
-                    missing_constructors=tuple(missing),
-                    uncovered=tuple(uncovered),
-                    traces_checked=traces_checked,
-                )
-                break
-        if report is not None:
+        for name, params in algebra.observations:
+            items += 1
+            try:
+                algebra.query(name, *params, trace=trace)
+            except (IncompletenessError, NonTerminationError) as exc:
+                uncovered.append(str(exc))
+                if len(uncovered) >= _UNCOVERED_CAP:
+                    break
+        if len(uncovered) >= _UNCOVERED_CAP:
             break
-    if report is None:
-        report = CoverageReport(
-            ok=not missing and not uncovered,
-            missing_constructors=tuple(missing),
-            uncovered=tuple(uncovered),
-            traces_checked=traces_checked,
-        )
+    report = CoverageReport(
+        ok=not missing and not uncovered,
+        missing_constructors=tuple(missing),
+        uncovered=tuple(uncovered),
+        traces_checked=traces_checked,
+    )
     if stats is not None:
+        record = WorkerStats(
+            worker=0,
+            wall_time=time.perf_counter() - started,
+            **counter_delta(before, engine_counters(algebra.engine), items),
+        )
         stats.add(
             VerificationStats.merge(
-                "coverage",
-                workers,
-                per_worker,
-                time.perf_counter() - started,
+                "coverage", 1, [record], time.perf_counter() - started
             )
         )
     return report
@@ -403,17 +306,14 @@ def check_sufficient_completeness(
     spec: AlgebraicSpec,
     depth: int = 3,
     max_traces: int = 5_000,
-    workers: int = 1,
     stats: StatsSink | None = None,
 ) -> CompletenessReport:
     """Run both halves of the Section 4.4a check and combine them.
 
     Args:
-        workers: parallelize the coverage scan (termination analysis
-            is a cheap graph computation and stays serial).
         stats: optional sink receiving the coverage record.
     """
-    with _span("completeness", workers=workers) as obs_span:
+    with _span("completeness") as obs_span:
         with _span("completeness.termination"):
             termination = check_termination(spec)
         try:
@@ -422,7 +322,6 @@ def check_sufficient_completeness(
                     spec,
                     depth=depth,
                     max_traces=max_traces,
-                    workers=workers,
                     stats=stats,
                 )
         except ReproError as exc:  # pragma: no cover - defensive

@@ -297,9 +297,9 @@ class RewriteEngine:
             _OBS.tracer.count("rewrite.evaluate.calls")
         if _COV.enabled:
             # Top-level dispatch-cell census: the multiset of these
-            # calls is exactly the workload, which the chunk
-            # partitioner splits without overlap — so summed per-cell
-            # counts are identical for every worker count.
+            # calls is exactly the workload, and each check runs in
+            # exactly one process — so summed per-cell counts are
+            # identical for every worker count.
             if (
                 isinstance(term, App)
                 and term.args

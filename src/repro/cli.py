@@ -169,7 +169,6 @@ def _coverage_document_of(
     graph = build_framework_graph(
         completeness_depth=args.depth,
         congruence_depth=args.depth,
-        workers=args.workers,
     )
     labels = [
         rule.label or f"rule-{index}"
@@ -480,10 +479,10 @@ def _write_observability(
 
     if args.trace is not None:
         # Pin chunk spans to stable virtual-worker tid rows: chunk
-        # spans carry the chunk index, so without the worker count
-        # the socket backend's rows would grow with the chunk count.
+        # spans carry the chunk index, and chunk i runs on virtual
+        # worker i mod (workers - 1) — this process is the other one.
         text = json.dumps(
-            to_chrome_json(tracer, workers=args.workers)
+            to_chrome_json(tracer, workers=max(1, args.workers - 1))
         )
         if not _write_text_output(args.trace, text, "Chrome trace"):
             return False
@@ -817,15 +816,18 @@ def main(argv: list[str] | None = None) -> int:
     verify.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help=(
-            "fan the bounded sweeps out over N worker processes "
-            "(default 1 = serial; reports are identical either way)"
+            "run checks in N processes at once: this one runs the "
+            "graph-bound checks while up to N-1 workers run the "
+            "independent ones (induction, congruence, grammar, "
+            "agreement); default 1 = all in this process, reports "
+            "are identical either way"
         ),
     )
     verify.add_argument(
         "--backend", choices=["inline", "fork", "socket"],
         default=None, metavar="NAME",
         help=(
-            "where the fanned-out chunks execute: 'inline' "
+            "where the fanned-out checks execute: 'inline' "
             "(in-process), 'fork' (forked worker processes, the "
             "default), or 'socket' (running 'repro worker' "
             "processes; needs --workers-addr).  Reports are "
@@ -1101,7 +1103,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     watch.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="worker processes for the fanned-out sweeps",
+        help="worker processes for the fanned-out checks",
     )
     watch.add_argument(
         "--interval", type=float, default=0.5, metavar="SECONDS",

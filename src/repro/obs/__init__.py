@@ -21,8 +21,7 @@ or from the CLI: ``python -m repro verify courses --trace trace.json``.
 
 Worker processes forked by :mod:`repro.parallel` inherit the enabled
 flag; their per-chunk span buffers are merged back **in deterministic
-chunk order**, so traces are structurally identical for every worker
-count.
+chunk order**, so traces are deterministic for every worker count.
 
 Live telemetry for the long-running serving processes
 (:mod:`repro.obs.telemetry`) follows the same one-branch switch

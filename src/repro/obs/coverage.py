@@ -32,7 +32,7 @@ worker count and under cache warmth, by construction:
   counts of equation firings are deliberately **not** exported;
 * top-level dispatch counts are sums over the exact workload
   partition, hence partition-invariant;
-* the census is computed from the merged
+* the census is computed from the
   :class:`~repro.algebraic.algebra.StateGraph`, which is identical at
   every worker count;
 * W-grammar usage is recorded at the recognizer's membership call
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from typing import Any, Mapping
 
 __all__ = [
@@ -88,9 +87,7 @@ class CoverageRecorder:
     Per-equation fire sets (which Q-/U-equation indices fired inside
     each dispatch cell; union-invariant) are exposed through the
     stable accessors :meth:`fire_set`, :meth:`fire_sets`,
-    :meth:`u_fire_set` and :meth:`u_fire_sets`.  The legacy ``fired``
-    / ``fired_u`` attributes still resolve to the internal mutable
-    dicts but emit :class:`DeprecationWarning`.
+    :meth:`u_fire_set` and :meth:`u_fire_sets`.
     """
 
     __slots__ = (
@@ -141,30 +138,6 @@ class CoverageRecorder:
             name: frozenset(indices)
             for name, indices in self._fired_u.items()
         }
-
-    @property
-    def fired(self) -> dict[tuple[str, str], set[int]]:
-        """Deprecated: the internal per-cell fire-set dict.  Use
-        :meth:`fire_set` / :meth:`fire_sets` instead."""
-        warnings.warn(
-            "CoverageRecorder.fired is deprecated; use fire_set() / "
-            "fire_sets()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._fired
-
-    @property
-    def fired_u(self) -> dict[str, set[int]]:
-        """Deprecated: the internal per-constructor U-fire-set dict.
-        Use :meth:`u_fire_set` / :meth:`u_fire_sets` instead."""
-        warnings.warn(
-            "CoverageRecorder.fired_u is deprecated; use u_fire_set() "
-            "/ u_fire_sets()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._fired_u
 
     # ------------------------------------------------------------------
     # recording (hot paths; called only when COV_STATE.enabled)

@@ -11,10 +11,9 @@ sequence + update names the paper's Section 4.4 arguments reason
 about, instead of a raw exception string.
 
 Provenance records deliberately exclude anything that varies between
-equivalent runs — wall times, cache hit/ran statuses, and the
-``workers`` parameter — so the records (and the coverage documents
-embedding them) are byte-identical across worker counts and across
-cold/warm cache runs.
+equivalent runs — wall times and cache hit/ran statuses — so the
+records (and the coverage documents embedding them) are
+byte-identical across worker counts and across cold/warm cache runs.
 """
 
 from __future__ import annotations
@@ -281,7 +280,7 @@ def pipeline_provenance(
         algebra: optional trace algebra for witness rendering.
 
     Each record carries the check's input fingerprints, its parameter
-    bounds (minus ``workers``), a combined fingerprint over both, the
+    bounds, a combined fingerprint over both, the
     digest of the coverage the check recorded, and rendered witnesses
     on failure.  Statuses (hit vs ran) and timings are deliberately
     omitted — see the module docstring.
@@ -295,19 +294,14 @@ def pipeline_provenance(
     records: list[dict] = []
     for execution in result.executions:
         check = graph[execution.name]
-        params = {
-            key: value
-            for key, value in check.params.items()
-            if key != "workers"
-        }
         run = execution.run
         record: dict[str, Any] = {
             "name": check.name,
             "title": check.title,
             "inputs": {key: parts[key] for key in check.inputs},
-            "params": dict(sorted(params.items())),
+            "params": dict(sorted(check.params.items())),
             "fingerprint": combine_fingerprint(
-                check.name, parts, check.inputs, params
+                check.name, parts, check.inputs, check.params
             ),
             "ok": None if execution.status == "aborted" else execution.ok,
             "skipped": bool(run is not None and run.skipped),

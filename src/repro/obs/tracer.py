@@ -20,9 +20,9 @@ enabled flag through ``fork``; each chunk runs under :func:`capture`,
 which gives the worker a fresh buffer rooted at one ``chunk`` span.
 The serialized buffers travel back through
 :class:`~repro.parallel.stats.WorkerStats` and are grafted under the
-parent's active span **in chunk submission order** — the same
-deterministic merge order the verification mergers rely on — so the
-exported trace is identical for every worker count modulo timings.
+parent's active span **in chunk submission order** — the order the
+executor returns results in — so the exported trace is deterministic
+modulo timings.
 Timestamps remain comparable across workers because ``perf_counter``
 reads ``CLOCK_MONOTONIC``, which forked children share.
 """

@@ -1,17 +1,19 @@
 """Parallel verification engine.
 
-Every "result" of the paper is a bounded exhaustive sweep over
-finitely generated state terms — sufficient completeness (Section
-4.4a), static/transition consistency (Sections 4.4b/d), update
-repertoire completeness (Section 4.4c), and the two refinement checks
-(Sections 4.3 and 5.4).  All of them are embarrassingly parallel: the
-term/state space partitions into independent chunks whose verdicts
-merge deterministically.
+The paper's verification plan is a list of separate proof
+obligations: sufficient completeness, static and transition
+consistency and update-repertoire completeness (Section 4.4), the
+inductive proof of (b), level-2 congruence, and the Section 5.4
+refinement.  The unit of parallel work is one whole obligation — one
+check of the :mod:`repro.pipeline` graph.  Every check runs its own
+serial loop; ``--workers N`` runs checks in ``N`` processes at once:
+the calling process runs the graph-bound checks (explore,
+completeness, static, inclusion, transitions, second-third) inline
+while up to ``N - 1`` virtual workers run the four independent ones
+(induction, congruence, grammar, agreement), one check per chunk.
 
-This package provides the pieces the verification layers share:
+This package provides the pieces that fan-out uses:
 
-* :mod:`repro.parallel.partition` — deterministic contiguous chunking
-  of an index space across workers;
 * :mod:`repro.parallel.executor` — the chunk executor with the
   deterministic submission-order merge (and a transparent in-process
   fallback);
@@ -24,13 +26,13 @@ This package provides the pieces the verification layers share:
 * :mod:`repro.parallel.worker` — the ``repro worker`` TCP server;
 * :mod:`repro.parallel.stats` — the :class:`VerificationStats` record
   (states checked, rewrite-cache hits/misses, rewrite steps, wall
-  time, per-worker breakdown) that the merger aggregates and
+  time, per-worker breakdown) that each check emits and
   :meth:`repro.core.framework.DesignFramework.verify` surfaces.
 
-The contract every parallelized check honors: ``workers=1`` runs the
-original serial code path, and ``workers=N`` produces a report equal
-to the serial one — partitioning and merging never change a verdict,
-a witness, or their order — on every backend.
+The contract: reports, coverage and per-check stats (timing and
+intern-table growth aside) are identical for every worker count on
+every backend — a check computes the same result whichever process
+runs it.
 """
 
 from repro.parallel.backends import (
@@ -44,15 +46,11 @@ from repro.parallel.backends import (
     resolve_backend,
     use_backend,
 )
-from repro.parallel.executor import ParallelExecutor, run_chunked
-from repro.parallel.partition import chunk_ranges, chunk_sizes
+from repro.parallel.executor import ParallelExecutor
 from repro.parallel.stats import StatsSink, VerificationStats, WorkerStats
 
 __all__ = [
     "ParallelExecutor",
-    "run_chunked",
-    "chunk_ranges",
-    "chunk_sizes",
     "StatsSink",
     "VerificationStats",
     "WorkerStats",

@@ -27,8 +27,8 @@ workers assigns chunk ``i`` of a batch to worker ``i mod W`` —
 statically, never by who finishes first.  Each virtual worker starts
 from the same *bundle* (``pickle.loads(pickle.dumps(context))``), so
 its rewrite-memo warmth is a pure function of the bundle and the chunk
-subsequence it processes.  Chunk results were already backend-independent
-(the mergers replay serial iteration order); with static assignment and
+subsequence it processes.  Chunk results are backend-independent
+(they are merged in submission order); with static assignment and
 bundle-cold workers the per-chunk counters (``cache_hits``,
 ``cache_misses``, ``rewrite_steps``, ``dispatch_hits``) become
 backend-independent too: inline, fork and socket report identical
@@ -40,6 +40,7 @@ worker process) — and are excluded from cross-backend identity gates.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import multiprocessing
 import pickle
@@ -207,8 +208,6 @@ class InlineBackend(ExecutorBackend):
     name = "inline"
 
     def open_pool(self, workers: int, context: Any):
-        if workers <= 1:
-            return None
         bundle = bundle_context(context)
         if bundle is None:
             return None
@@ -245,6 +244,11 @@ def _fork_worker_main(conn, bundle: bytes | None) -> None:
                 )
             except BaseException as exc:
                 outcomes.append(("err", _ship_exception(exc)))
+            # A check leaves cyclic garbage behind (memo tables, term
+            # graphs); freeing it before the next chunk keeps a
+            # worker's peak memory at its largest chunk's, not at the
+            # sum of its chunks'.
+            gc.collect()
         try:
             conn.send(outcomes)
         except Exception as exc:
@@ -274,6 +278,7 @@ class _ForkPool:
 
     def __init__(self, members: list):
         self._members = members  # [(process, parent_conn)]
+        self._pending: _ForkPending | None = None
 
     def submit(self, payloads: Sequence[tuple]) -> "_ForkPending":
         count = len(self._members)
@@ -284,9 +289,18 @@ class _ForkPool:
             if indices:
                 _, conn = self._members[worker]
                 conn.send([payloads[index] for index in indices])
-        return _ForkPending(self._members, assignment, len(payloads))
+        self._pending = _ForkPending(
+            self._members, assignment, len(payloads)
+        )
+        return self._pending
 
     def close(self) -> None:
+        if self._pending is not None and not self._pending.done:
+            # The caller raised before collecting its batch: nobody
+            # will read the replies, so stop the workers now instead
+            # of waiting for them to finish.
+            for process, _ in self._members:
+                process.terminate()
         for process, conn in self._members:
             try:
                 conn.send(None)
@@ -311,8 +325,10 @@ class _ForkPending:
         self._members = members
         self._assignment = assignment
         self._total = total
+        self.done = False
 
     def wait(self) -> list:
+        self.done = True
         slots: list = [None] * self._total
         for worker, indices in enumerate(self._assignment):
             if not indices:
@@ -346,8 +362,6 @@ class ForkBackend(ExecutorBackend):
     name = "fork"
 
     def open_pool(self, workers: int, context: Any):
-        if workers <= 1:
-            return None
         try:
             mp_context = multiprocessing.get_context("fork")
         except ValueError:
@@ -461,8 +475,11 @@ class _WorkerSession:
 
     def run_chunk(
         self, payload: tuple, trace: bool, coverage: bool
-    ) -> tuple:
-        """Execute one ``(fn, index, arg)`` payload remotely."""
+    ) -> bytes:
+        """Execute one ``(fn, index, arg)`` payload remotely and return
+        the pickled outcome, undecoded: unpickling re-interns terms
+        into process-wide tables, which only the thread that owns them
+        may do (see :meth:`_SocketPending.wait`)."""
         from repro.parallel import wire
 
         fn, index, arg = payload
@@ -478,7 +495,15 @@ class _WorkerSession:
                 "coverage": coverage,
             }
         )
-        return pickle.loads(wire.decode_bytes(reply["outcome"]))
+        return wire.decode_bytes(reply["outcome"])
+
+    def interrupt(self) -> None:
+        """Wake a sender thread blocked on this session's socket (the
+        batch it serves was abandoned)."""
+        try:
+            self._sock.shutdown(socketlib.SHUT_RDWR)
+        except OSError:
+            pass
 
     def close(self, polite: bool = True) -> None:
         from repro.parallel import wire
@@ -497,17 +522,35 @@ class _WorkerSession:
 
 
 class _SocketPending:
-    """Per-session sender threads working through their chunk lists."""
+    """Per-session sender threads working through their chunk lists.
+
+    The threads only move bytes; the outcomes are unpickled here, in
+    the thread that collects them.  Unpickling re-interns terms into
+    the process-wide tables (``App.__new__`` checks the table, then
+    sets it), which must not race with the caller's own checks.
+    """
 
     def __init__(self, threads: list, slots: list, total: int):
         self._threads = threads
         self._slots = slots
         self._total = total
+        self.done = False
 
     def wait(self) -> list:
+        self.done = True
         for thread in self._threads:
             thread.join()
-        return _order_outcomes(self._slots, self._total)
+        return [
+            pickle.loads(raw)
+            for raw in _order_outcomes(self._slots, self._total)
+        ]
+
+    def abandon(self) -> None:
+        """Let the sender threads finish without their outcomes (their
+        sessions were interrupted)."""
+        self.done = True
+        for thread in self._threads:
+            thread.join(5.0)
 
 
 class _SocketPool:
@@ -515,6 +558,7 @@ class _SocketPool:
 
     def __init__(self, sessions: list):
         self._sessions = sessions
+        self._pending: _SocketPending | None = None
 
     def submit(self, payloads: Sequence[tuple]) -> _SocketPending:
         from repro.obs.coverage import COV_STATE
@@ -551,11 +595,20 @@ class _SocketPool:
             )
             thread.start()
             threads.append(thread)
-        return _SocketPending(threads, slots, len(payloads))
+        self._pending = _SocketPending(threads, slots, len(payloads))
+        return self._pending
 
     def close(self) -> None:
+        abandoned = self._pending is not None and not self._pending.done
+        if abandoned:
+            # The caller raised before collecting its batch: wake the
+            # sender threads (a polite bye would race them for the
+            # replies on the same sockets) and drop the sessions.
+            for session in self._sessions:
+                session.interrupt()
+            self._pending.abandon()
         for session in self._sessions:
-            session.close()
+            session.close(polite=not abandoned)
         self._sessions = []
 
 
@@ -589,8 +642,6 @@ class SocketBackend(ExecutorBackend):
         self.addresses: tuple[tuple[str, int], ...] = tuple(parsed)
 
     def open_pool(self, workers: int, context: Any):
-        if workers <= 1:
-            return None
         bundle = bundle_context(context)
         if bundle is None:
             raise ExecutorBackendError(
@@ -663,10 +714,10 @@ def resolve_backend(
 
 
 class use_backend:
-    """Scope the active backend: every ``run_chunked``/executor call
-    under the scope that does not name a backend explicitly uses this
-    one.  ``use_backend(None)`` is a no-op scope, so callers can
-    thread an optional backend without branching."""
+    """Scope the active backend: every executor opened under the
+    scope that does not name a backend explicitly uses this one.
+    ``use_backend(None)`` is a no-op scope, so callers can thread an
+    optional backend without branching."""
 
     def __init__(self, backend: "ExecutorBackend | str | None"):
         self._backend = (

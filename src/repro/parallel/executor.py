@@ -2,9 +2,10 @@
 backends.
 
 The executor runs a *chunk function* over a list of chunk arguments
-and returns the per-chunk results **in argument order**, so callers
-can merge by concatenation and reproduce their serial iteration
-exactly.
+and returns the per-chunk results **in argument order**.  Its
+production caller is the pipeline scheduler, which sends each
+independent check of a verification run as one chunk
+(:func:`repro.pipeline.scheduler._fanout_chunk`).
 
 *Where* the chunks run is delegated to an
 :class:`~repro.parallel.backends.ExecutorBackend` — in-process
@@ -12,8 +13,8 @@ exactly.
 remote ``repro worker`` processes over TCP (``socket``).  All
 backends follow the same virtual-worker model: chunk ``i`` goes to
 virtual worker ``i mod workers`` and each virtual worker starts from
-its own unpickled copy of the shared *context* (specs, algebras,
-state graphs), so both results **and** the per-chunk counter stats
+its own unpickled copy of the shared *context* (specs, algebras),
+so both results **and** the per-chunk counter stats
 are identical across backends for a given worker count.  See
 :mod:`repro.parallel.backends` for the model and its two ambient
 exceptions (``wall_time``, ``interned_terms``).
@@ -45,7 +46,7 @@ from repro.obs.tracer import OBS_STATE, Span, capture
 from repro.parallel.backends import ExecutorBackend, resolve_backend
 from repro.parallel.stats import WorkerStats
 
-__all__ = ["ParallelExecutor", "run_chunked"]
+__all__ = ["ParallelExecutor", "PendingMap"]
 
 #: The shared context slot worker processes inherit through fork.
 _CONTEXT: Any = None
@@ -116,8 +117,9 @@ class ParallelExecutor:
     """A pool of virtual workers sharing one context.
 
     Args:
-        workers: requested degree of parallelism; ``1`` (or less)
-            means in-process execution with no pool.
+        workers: the number of virtual workers the chunks run on,
+            beside the calling process; ``0`` (the default) runs them
+            in the calling process, with no pool.
         context: the shared read-only context chunk functions receive
             as their first argument.  Backends ship it to workers as a
             pickle bundle (one cold copy per virtual worker); the fork
@@ -130,24 +132,23 @@ class ParallelExecutor:
 
     Use as a context manager::
 
-        with ParallelExecutor(workers, context=algebra) as executor:
-            results = executor.map(_snapshot_chunk, chunk_args)
+        with ParallelExecutor(workers, context=context) as executor:
+            results = executor.map(_my_chunk, chunk_args)
         stats = executor.worker_stats
 
-    :meth:`map` may be called repeatedly (e.g. once per BFS level);
-    the pool and the workers' warm caches persist across calls.  On
-    exit the executor drops its context reference — a sweep must not
-    pin a large spec or state graph in memory for the executor's
-    lifetime.
+    :meth:`map` may be called repeatedly; the pool and the workers'
+    warm caches persist across calls.  On exit the executor drops its
+    context reference, so it never pins a large spec in memory for
+    its own lifetime.
     """
 
     def __init__(
         self,
-        workers: int = 1,
+        workers: int = 0,
         context: Any = None,
         backend: "ExecutorBackend | str | None" = None,
     ):
-        self.workers = max(1, int(workers))
+        self.workers = max(0, int(workers))
         self.context = context
         self.backend = backend
         #: Per-chunk :class:`WorkerStats`, in submission order across
@@ -163,7 +164,7 @@ class ParallelExecutor:
         self._saved_context = _CONTEXT
         _CONTEXT = self.context
         self._entered = True
-        if self.workers > 1:
+        if self.workers:
             # The backend resolves at entry so a surrounding
             # use_backend() scope (the scheduler's) takes effect.
             self._pool = resolve_backend(self.backend).open_pool(
@@ -180,8 +181,8 @@ class ParallelExecutor:
         self._saved_context = None
         # Drop the context reference: the executor object routinely
         # outlives its with-block (callers read worker_stats off it),
-        # and holding on would pin large specs/state graphs in parent
-        # memory after the sweep.
+        # and holding on would pin large specs in parent memory after
+        # the run.
         self.context = None
         self._entered = False
 
@@ -189,8 +190,8 @@ class ParallelExecutor:
     def map(self, fn: Callable, args: Sequence[Any]) -> list[Any]:
         """Run ``fn(context, arg)`` for every chunk argument.
 
-        Returns the chunk results in ``args`` order (the property the
-        deterministic mergers rely on) and appends one
+        Returns the chunk results in ``args`` order (the
+        deterministic merge order) and appends one
         :class:`WorkerStats` per chunk to :attr:`worker_stats`.
         """
         return self.map_async(fn, args).collect()
@@ -203,7 +204,7 @@ class ParallelExecutor:
         inline; call :meth:`PendingMap.collect` to block, absorb the
         per-chunk stats, and graft worker span buffers (still in
         submission order) under the *then-active* span.  With no pool
-        (``workers=1`` or no backend pool available) the chunks run
+        (``workers=0`` or no backend pool available) the chunks run
         in-process at collect time instead — identical results, no
         overlap.
         """
@@ -245,7 +246,9 @@ class ParallelExecutor:
 class PendingMap:
     """A submitted-but-not-collected :meth:`ParallelExecutor.map_async`
     batch.  :meth:`collect` must be called exactly once, before the
-    executor's context manager exits."""
+    executor's context manager exits; an executor that exits first
+    (its caller raised) abandons the batch, and the pool stops its
+    workers instead of waiting for them."""
 
     __slots__ = ("_executor", "_payloads", "_handle", "_collected")
 
@@ -268,24 +271,3 @@ class PendingMap:
                 _run_chunk(payload) for payload in self._payloads
             ]
         return self._executor._absorb(outcomes)
-
-
-def run_chunked(
-    fn: Callable,
-    context: Any,
-    args: Sequence[Any],
-    workers: int,
-    backend: "ExecutorBackend | str | None" = None,
-) -> tuple[list[Any], list[WorkerStats]]:
-    """One-shot convenience: execute ``fn`` over ``args`` chunks.
-
-    Returns ``(results in args order, per-chunk WorkerStats)``.
-    ``backend=None`` dispatches through the scope-active backend, so
-    deep callers (the bounded sweeps) need no signature changes when
-    the scheduler selects one.
-    """
-    with ParallelExecutor(
-        workers, context=context, backend=backend
-    ) as executor:
-        results = executor.map(fn, args)
-    return results, executor.worker_stats

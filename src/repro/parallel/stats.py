@@ -1,12 +1,10 @@
-"""Verification statistics: per-worker counters and their merger.
+"""Verification statistics: per-check counters and their merger.
 
-The parallel engine gives each worker its own
-:class:`~repro.algebraic.rewriting.RewriteEngine` (a forked copy of
-the parent's, so the memo cache starts warm), and every chunk reports
-the counters it accumulated: work items processed, rewrite-cache hits
-and misses, rewrite (equation-firing) steps, and wall time.  The
-merger folds them into one :class:`VerificationStats` record per
-check; :meth:`repro.core.framework.DesignFramework.verify` combines
+Every check reports the counters it accumulated — work items
+processed, rewrite-cache hits and misses, rewrite (equation-firing)
+steps, and wall time — as a :class:`WorkerStats` record, folded into
+one :class:`VerificationStats` record per check;
+:meth:`repro.core.framework.DesignFramework.verify` combines
 the per-check records into a single machine-readable bundle that the
 benchmarks emit as JSON — the observable perf trajectory of the
 verifier.

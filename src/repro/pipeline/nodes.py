@@ -48,7 +48,7 @@ def _run_explore(ctx, params) -> CheckRun:
     resource checks (b)–(d) read).
 
     When a result cache is attached, the previous run's edge artifact
-    is threaded into the serial packed explorer so an equation edit
+    is threaded into the packed explorer so an equation edit
     re-explores only the affected frontier (``verify --cache-dir``
     gets delta exploration for free); the refreshed artifact is stored
     back after the run.
@@ -57,12 +57,11 @@ def _run_explore(ctx, params) -> CheckRun:
     cache = ctx.resources.get("result_cache")
     artifact_name = None
     edge_cache = None
-    if cache is not None and params["workers"] <= 1:
+    if cache is not None:
         artifact_name = edge_artifact_name(ctx.algebra.signature)
         edge_cache = cache.load_artifact(artifact_name)
     graph = ctx.algebra.explore(
         max_states=params["max_states"],
-        workers=params["workers"],
         stats=sink,
         edge_cache=edge_cache,
     )
@@ -70,8 +69,6 @@ def _run_explore(ctx, params) -> CheckRun:
     if artifact_name is not None and graph.artifact is not None:
         cache.store_artifact(artifact_name, graph.artifact)
     if COV_STATE.enabled:
-        # The census reads the merged graph, which is identical at
-        # every worker count, so the recorded curve is deterministic.
         COV_STATE.recorder.record_explore(state_graph_census(graph))
     return CheckRun(result=graph, stats_parts=tuple(sink.records))
 
@@ -82,7 +79,6 @@ def _run_completeness(ctx, params) -> CheckRun:
     report = check_sufficient_completeness(
         ctx.framework.algebraic,
         depth=params["depth"],
-        workers=params["workers"],
         stats=sink,
     )
     return CheckRun(result=report, stats_parts=tuple(sink.records))
@@ -98,7 +94,6 @@ def _run_static(ctx, params) -> CheckRun:
         ctx.algebra,
         ctx.interpretation,
         ctx.resources["graph"],
-        workers=params["workers"],
         stats=sink,
     )
     return CheckRun(result=report, stats_parts=tuple(sink.records))
@@ -114,7 +109,6 @@ def _run_inclusion(ctx, params) -> CheckRun:
         ctx.algebra,
         ctx.interpretation,
         ctx.resources["graph"],
-        workers=params["workers"],
         stats=sink,
     )
     return CheckRun(result=report, stats_parts=tuple(sink.records))
@@ -130,7 +124,6 @@ def _run_transitions(ctx, params) -> CheckRun:
         ctx.algebra,
         ctx.interpretation,
         ctx.resources["graph"],
-        workers=params["workers"],
         stats=sink,
     )
     return CheckRun(result=report, stats_parts=tuple(sink.records))
@@ -201,7 +194,6 @@ def _run_second_third(ctx, params) -> CheckRun:
         framework.schema,
         framework.representation,
         max_states=params["max_states"],
-        workers=params["workers"],
         stats=sink,
     )
     return CheckRun(result=report, stats_parts=tuple(sink.records))
@@ -227,7 +219,6 @@ def build_framework_graph(
     congruence_depth: int = 2,
     max_states: int = 100_000,
     grammar_budget: int = 2_000_000,
-    workers: int = 1,
 ) -> CheckGraph:
     """The declarative check graph of a full three-level design.
 
@@ -235,7 +226,6 @@ def build_framework_graph(
     fingerprint); the graph itself is framework-independent — bind a
     framework via :class:`~repro.pipeline.scheduler.PipelineContext`.
     """
-    workers = max(1, int(workers))
     return CheckGraph(
         [
             Check(
@@ -243,7 +233,7 @@ def build_framework_graph(
                 title="reachable observational state graph",
                 run=_run_explore,
                 inputs=("algebraic",),
-                params={"max_states": max_states, "workers": workers},
+                params={"max_states": max_states},
                 provides="graph",
                 group="first-second",
             ),
@@ -252,7 +242,7 @@ def build_framework_graph(
                 title="(a) sufficient completeness",
                 run=_run_completeness,
                 inputs=("algebraic",),
-                params={"depth": completeness_depth, "workers": workers},
+                params={"depth": completeness_depth},
                 cache_kind="completeness",
                 group="first-second",
             ),
@@ -267,7 +257,7 @@ def build_framework_graph(
                     "interpretation",
                 ),
                 deps=("explore",),
-                params={"max_states": max_states, "workers": workers},
+                params={"max_states": max_states},
                 cache_kind="static",
                 group="first-second",
             ),
@@ -282,7 +272,7 @@ def build_framework_graph(
                     "interpretation",
                 ),
                 deps=("explore",),
-                params={"max_states": max_states, "workers": workers},
+                params={"max_states": max_states},
                 cache_kind="inclusion",
                 group="first-second",
             ),
@@ -297,7 +287,7 @@ def build_framework_graph(
                     "interpretation",
                 ),
                 deps=("explore",),
-                params={"max_states": max_states, "workers": workers},
+                params={"max_states": max_states},
                 cache_kind="transitions",
                 group="first-second",
             ),
@@ -344,7 +334,7 @@ def build_framework_graph(
                 title="second-to-third refinement (Section 5.4)",
                 run=_run_second_third,
                 inputs=("algebraic", "schema", "representation"),
-                params={"max_states": max_states, "workers": workers},
+                params={"max_states": max_states},
                 cache_kind="second-third",
                 span_name="second-third",
             ),

@@ -7,12 +7,13 @@ topological), consults the optional
 misses:
 
 * **run-all** (default) reproduces the old monolithic ``verify()``
-  exactly: every check runs, failures accumulate.  Independent serial
-  checks marked ``fan_out`` are dispatched through
-  :class:`~repro.parallel.executor.ParallelExecutor` when ``workers >
-  1``, overlapping with the inline graph-bound checks; results are
-  merged back in declaration order, so reports and stats stay
-  byte-identical for every worker count.
+  exactly: every check runs, failures accumulate.  When ``workers >
+  1``, the independent checks marked ``fan_out`` are submitted, one
+  check per chunk, to ``workers - 1`` virtual workers of a
+  :class:`~repro.parallel.executor.ParallelExecutor` before the
+  graph-bound checks run inline, so ``workers`` processes run checks
+  side by side; results are merged back in declaration order, so
+  reports and stats stay byte-identical for every worker count.
 * **fail-fast** stops at the first failing check and marks the rest
   aborted (fan-out is disabled so the stop point is deterministic).
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterable
 
 from repro.obs.coverage import COV_STATE, capture_coverage
@@ -63,10 +64,12 @@ class PipelineContext:
     Attributes:
         framework: the :class:`~repro.core.framework.DesignFramework`
             under verification.
-        workers: worker-process budget for the fanned sweeps.
+        workers: how many processes run checks at once: this one
+            (the graph-bound checks) and up to ``workers - 1``
+            virtual workers (the fanned-out checks).
         backend: the :class:`~repro.parallel.backends.ExecutorBackend`
-            (or backend name) every sweep of the run dispatches
-            through; ``None`` keeps the scope-active default.
+            (or backend name) the run's fan-out dispatches through;
+            ``None`` keeps the scope-active default.
         resources: keyed products of resource nodes (the ``explore``
             node deposits the state graph under ``"graph"``).
     """
@@ -140,9 +143,12 @@ class PipelineResult:
         cache_enabled: bool = False,
         cache_hits: int = 0,
         cache_misses: int = 0,
+        workers: int = 1,
     ):
         self.executions: tuple[NodeExecution, ...] = tuple(executions)
         self.selection = selection
+        #: The worker count the run was requested with.
+        self.workers = workers
         self.cache_enabled = cache_enabled
         self.cache_hits = cache_hits
         self.cache_misses = cache_misses
@@ -176,8 +182,15 @@ class PipelineResult:
         return parts
 
     def combined_stats(self, label: str = "verify") -> VerificationStats:
-        """One bundle over every part (the report's ``stats`` field)."""
-        return VerificationStats.combine(label, self.stats_parts())
+        """One bundle over every part (the report's ``stats`` field).
+
+        Every part ran in one process and reports ``workers=1``; the
+        bundle carries the worker count the run was requested with.
+        """
+        return replace(
+            VerificationStats.combine(label, self.stats_parts()),
+            workers=self.workers,
+        )
 
     def summary(self) -> str:
         """Per-node outcome lines for the CLI's selection mode."""
@@ -322,10 +335,8 @@ class Scheduler:
                 fingerprint.
 
         The whole selection executes under the context's executor
-        backend (``use_backend``): fan-out dispatch here and every
-        internally chunked sweep deep inside the checks resolve their
-        chunk dispatch through it, without signature changes along
-        the way.
+        backend (``use_backend``), which the fan-out dispatch resolves
+        to.
         """
         with use_backend(ctx.backend):
             return self._run_selection(ctx, only, skip, overrides)
@@ -437,6 +448,23 @@ class Scheduler:
         fanned = set(fanout)
         executor = None
         try:
+            pending = None
+            if fanout:
+                # Submitted before the inline loop, so the fanned
+                # checks run beside the graph-bound ones; this process
+                # is one of the ``workers``.  The executor resolves to
+                # the run's backend (the use_backend scope around this
+                # selection); the virtual-worker model prices each
+                # fanned check from a cold bundle of this context,
+                # keeping the stats replayed by the cache
+                # backend-independent.
+                executor = ParallelExecutor(
+                    min(ctx.workers - 1, len(fanout)),
+                    context=(ctx, checks, want_counters),
+                )
+                executor.__enter__()
+                pending = executor.map_async(_fanout_chunk, fanout)
+
             open_group: str | None = None
             group_span = None
 
@@ -461,57 +489,21 @@ class Scheduler:
                         runs[name] = self._replay(check, entries[name])
                         statuses[name] = "hit"
                     else:
-                        if cache is not None and OBS_STATE.enabled:
-                            _count("pipeline.cache.misses", 1)
                         runs[name] = _execute_check(
                             check, ctx, want_counters
                         )
+                        self._finish(check, fingerprints.get(name), runs[name])
                         statuses[name] = "ran"
-                        if _TEL.enabled:
-                            _TEL.telemetry.observe(
-                                f"pipeline.check.{name}",
-                                int(runs[name].wall_time * 1e9),
-                                counter="pipeline.checks",
-                                check=name,
-                            )
-                        self._store(
-                            check, fingerprints.get(name), runs[name]
-                        )
                     if self.fail_fast and not _node_ok(runs[name]):
                         break
             finally:
                 close_group()
 
-            if fanout:
-                # Dispatched only after the inline (graph-bound,
-                # internally chunked) checks finish, so the fanned
-                # checks overlap each other, never the inline worker
-                # pools.  The executor resolves to the run's backend
-                # (the use_backend scope around this selection); the
-                # virtual-worker model prices each fanned check from
-                # a cold bundle of this context, keeping the stats
-                # replayed by the cache backend-independent.
-                executor = ParallelExecutor(
-                    min(ctx.workers, len(fanout)),
-                    context=(ctx, checks, want_counters),
-                )
-                executor.__enter__()
-                pending = executor.map_async(_fanout_chunk, fanout)
+            if pending is not None:
                 for name, run in zip(fanout, pending.collect()):
-                    if cache is not None and OBS_STATE.enabled:
-                        _count("pipeline.cache.misses", 1)
                     runs[name] = run
+                    self._finish(checks[name], fingerprints.get(name), run)
                     statuses[name] = "ran"
-                    if _TEL.enabled:
-                        _TEL.telemetry.observe(
-                            f"pipeline.check.{name}",
-                            int(run.wall_time * 1e9),
-                            counter="pipeline.checks",
-                            check=name,
-                        )
-                    self._store(
-                        checks[name], fingerprints.get(name), run
-                    )
         finally:
             if executor is not None:
                 executor.__exit__(None, None, None)
@@ -535,9 +527,26 @@ class Scheduler:
             cache_enabled=cache is not None,
             cache_hits=hits,
             cache_misses=ran if cache is not None else 0,
+            workers=ctx.workers,
         )
 
     # ------------------------------------------------------------------
+    def _finish(
+        self, check: Check, fingerprint: str | None, run: CheckRun
+    ) -> None:
+        """Account for a freshly executed check: cache-miss counter,
+        per-check telemetry, and the cache store."""
+        if self.cache is not None and OBS_STATE.enabled:
+            _count("pipeline.cache.misses", 1)
+        if _TEL.enabled:
+            _TEL.telemetry.observe(
+                f"pipeline.check.{check.name}",
+                int(run.wall_time * 1e9),
+                counter="pipeline.checks",
+                check=check.name,
+            )
+        self._store(check, fingerprint, run)
+
     def _replay(self, check: Check, entry: dict) -> CheckRun:
         """Rebuild a cached check: report object, stats records, and
         span counters, without running anything."""

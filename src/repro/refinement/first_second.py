@@ -41,8 +41,6 @@ from repro.logic.sorts import STATE, Sort
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Term, Var
 from repro.obs.tracer import span as _span
-from repro.parallel.executor import run_chunked
-from repro.parallel.partition import chunk_ranges
 from repro.parallel.stats import (
     StatsSink,
     VerificationStats,
@@ -108,89 +106,46 @@ class StaticConsistencyReport:
         return "\n".join(lines)
 
 
-def _static_chunk(context, index_range):
-    """Worker chunk: violated-axiom strings per state of the range."""
-    information, carriers, algebra, interpretation, traces = context
-    before = engine_counters(algebra.engine)
-    per_state: list[list[str]] = []
-    for index in index_range:
-        structure = interpretation.structure_of_trace(
-            information, carriers, algebra, traces[index]
-        )
-        report = check_state(information, structure)
-        per_state.append(
-            [str(axiom) for axiom, _ in report.violations]
-        )
-    after = engine_counters(algebra.engine)
-    return per_state, counter_delta(before, after, len(per_state))
-
-
 def check_static_consistency(
     information: InformationSpec,
     carriers: dict[Sort, list[str]],
     algebra: TraceAlgebra,
     interpretation: Interpretation,
     graph: StateGraph | None = None,
-    workers: int = 1,
     stats: StatsSink | None = None,
 ) -> StaticConsistencyReport:
     """Check G ⊆ V: every reachable state satisfies every static
     constraint (Section 4.4b).
 
     Args:
-        workers: check states on this many processes; the merge
-            replays the state order, so the report is identical for
-            every worker count.
         stats: optional sink receiving one ``"static"`` record.
     """
     started = time.perf_counter()
     if graph is None:
-        graph = algebra.explore(workers=workers, stats=stats)
+        graph = algebra.explore(stats=stats)
     traces = list(graph.states.values())
     violations: list[tuple[Term, str]] = []
-    with _span("static", workers=workers) as obs_span:
-        if workers <= 1:
-            before = engine_counters(algebra.engine)
-            for trace in traces:
-                structure = interpretation.structure_of_trace(
-                    information, carriers, algebra, trace
-                )
-                report = check_state(information, structure)
-                for axiom, _ in report.violations:
-                    violations.append((trace, str(axiom)))
-            delta = counter_delta(
-                before, engine_counters(algebra.engine), len(traces)
+    with _span("static") as obs_span:
+        before = engine_counters(algebra.engine)
+        for trace in traces:
+            structure = interpretation.structure_of_trace(
+                information, carriers, algebra, trace
             )
-            obs_span.record(delta)
-            per_worker = [
-                WorkerStats(
-                    worker=0,
-                    wall_time=time.perf_counter() - started,
-                    **delta,
-                )
-            ]
-        else:
-            context = (
-                information, carriers, algebra, interpretation, traces
-            )
-            chunked, per_worker = run_chunked(
-                _static_chunk,
-                context,
-                chunk_ranges(len(traces), workers),
-                workers,
-            )
-            per_state = [entry for chunk in chunked for entry in chunk]
-            for trace, axioms in zip(traces, per_state):
-                for axiom in axioms:
-                    violations.append((trace, axiom))
+            report = check_state(information, structure)
+            for axiom, _ in report.violations:
+                violations.append((trace, str(axiom)))
+        delta = counter_delta(
+            before, engine_counters(algebra.engine), len(traces)
+        )
+        obs_span.record(delta)
         obs_span.count("static.violations", len(violations))
     if stats is not None:
+        record = WorkerStats(
+            worker=0, wall_time=time.perf_counter() - started, **delta
+        )
         stats.add(
             VerificationStats.merge(
-                "static",
-                max(1, workers),
-                per_worker,
-                time.perf_counter() - started,
+                "static", 1, [record], time.perf_counter() - started
             )
         )
     return StaticConsistencyReport(
@@ -309,55 +264,24 @@ def _edge_violations(
     return [str(axiom) for axiom, _ in report.violations]
 
 
-def _transition_chunk(context, index_range):
-    """Worker chunk: violated-axiom strings per edge of the range."""
-    (
-        information,
-        carriers,
-        algebra,
-        interpretation,
-        graph,
-        structures,
-    ) = context
-    before = engine_counters(algebra.engine)
-    per_edge = [
-        _edge_violations(
-            information,
-            carriers,
-            algebra,
-            interpretation,
-            graph,
-            structures,
-            graph.transitions[index],
-        )
-        for index in index_range
-    ]
-    after = engine_counters(algebra.engine)
-    return per_edge, counter_delta(before, after, len(per_edge))
-
-
 def check_transition_consistency(
     information: InformationSpec,
     carriers: dict[Sort, list[str]],
     algebra: TraceAlgebra,
     interpretation: Interpretation,
     graph: StateGraph | None = None,
-    workers: int = 1,
     stats: StatsSink | None = None,
 ) -> TransitionConsistencyReport:
     """Check (d): every update edge of the reachable state graph is an
     acceptable transition of the information-level theory.
 
     Args:
-        workers: check edges on this many processes; the merge replays
-            the edge order, so the report is identical for every
-            worker count.
         stats: optional sink receiving one ``"transitions"`` record.
     """
     started = time.perf_counter()
     if graph is None:
-        graph = algebra.explore(workers=workers, stats=stats)
-    with _span("transitions", workers=workers) as obs_span:
+        graph = algebra.explore(stats=stats)
+    with _span("transitions") as obs_span:
         counters_before = engine_counters(algebra.engine)
         structures = {
             snapshot: interpretation.structure_of_trace(
@@ -366,64 +290,37 @@ def check_transition_consistency(
             for snapshot, trace in graph.states.items()
         }
         violations: list[tuple[Transition, str]] = []
-        if workers <= 1:
-            # Walk states in discovery order and chain their outgoing
-            # edges via the adjacency index; for breadth-first graphs
-            # this replays graph.transitions exactly (edges of a state
-            # are contiguous there), so reports are unchanged.
-            for snapshot in graph.states:
-                for transition in graph.successors(snapshot):
-                    for axiom in _edge_violations(
-                        information,
-                        carriers,
-                        algebra,
-                        interpretation,
-                        graph,
-                        structures,
-                        transition,
-                    ):
-                        violations.append((transition, axiom))
-            delta = counter_delta(
-                counters_before,
-                engine_counters(algebra.engine),
-                len(graph.transitions),
-            )
-            obs_span.record(delta)
-            per_worker = [
-                WorkerStats(
-                    worker=0,
-                    wall_time=time.perf_counter() - started,
-                    **delta,
-                )
-            ]
-        else:
-            context = (
-                information,
-                carriers,
-                algebra,
-                interpretation,
-                graph,
-                structures,
-            )
-            chunked, per_worker = run_chunked(
-                _transition_chunk,
-                context,
-                chunk_ranges(len(graph.transitions), workers),
-                workers,
-            )
-            per_edge = [entry for chunk in chunked for entry in chunk]
-            for transition, axioms in zip(graph.transitions, per_edge):
-                for axiom in axioms:
+        # Walk states in discovery order and chain their outgoing
+        # edges via the adjacency index; for breadth-first graphs this
+        # replays graph.transitions exactly (edges of a state are
+        # contiguous there).
+        for snapshot in graph.states:
+            for transition in graph.successors(snapshot):
+                for axiom in _edge_violations(
+                    information,
+                    carriers,
+                    algebra,
+                    interpretation,
+                    graph,
+                    structures,
+                    transition,
+                ):
                     violations.append((transition, axiom))
+        delta = counter_delta(
+            counters_before,
+            engine_counters(algebra.engine),
+            len(graph.transitions),
+        )
+        obs_span.record(delta)
         obs_span.count("transitions.edges", len(graph.transitions))
         obs_span.count("transitions.violations", len(violations))
     if stats is not None:
+        record = WorkerStats(
+            worker=0, wall_time=time.perf_counter() - started, **delta
+        )
         stats.add(
             VerificationStats.merge(
-                "transitions",
-                max(1, workers),
-                per_worker,
-                time.perf_counter() - started,
+                "transitions", 1, [record], time.perf_counter() - started
             )
         )
     return TransitionConsistencyReport(
@@ -494,7 +391,6 @@ def check_refinement(
     interpretation: Interpretation | None = None,
     completeness_depth: int = 2,
     max_states: int = 100_000,
-    workers: int = 1,
     stats: StatsSink | None = None,
 ) -> FirstToSecondReport:
     """Run the entire Section 4.4 proof plan mechanically.
@@ -508,49 +404,24 @@ def check_refinement(
         completeness_depth: trace depth for the coverage half of the
             sufficient-completeness check.
         max_states: exploration bound for the state graph.
-        workers: fan every bounded sweep (exploration, coverage,
-            state/edge checks, validity enumeration) out over this
-            many processes.  The report is identical for every worker
-            count; the sub-checks run in sequence, each using the full
-            worker pool.
         stats: optional sink receiving one record per sub-check.
     """
     if interpretation is None:
         interpretation = Interpretation.homonym(
             information, algebra.signature
         )
-    graph = algebra.explore(
-        max_states=max_states, workers=workers, stats=stats
-    )
+    graph = algebra.explore(max_states=max_states, stats=stats)
     completeness = check_sufficient_completeness(
-        algebra.spec, depth=completeness_depth, workers=workers, stats=stats
+        algebra.spec, depth=completeness_depth, stats=stats
     )
     static = check_static_consistency(
-        information,
-        carriers,
-        algebra,
-        interpretation,
-        graph,
-        workers=workers,
-        stats=stats,
+        information, carriers, algebra, interpretation, graph, stats=stats
     )
     inclusion = compare_valid_reachable(
-        information,
-        carriers,
-        algebra,
-        interpretation,
-        graph,
-        workers=workers,
-        stats=stats,
+        information, carriers, algebra, interpretation, graph, stats=stats
     )
     transitions = check_transition_consistency(
-        information,
-        carriers,
-        algebra,
-        interpretation,
-        graph,
-        workers=workers,
-        stats=stats,
+        information, carriers, algebra, interpretation, graph, stats=stats
     )
     return FirstToSecondReport(completeness, static, inclusion, transitions)
 

@@ -31,8 +31,6 @@ from repro.logic.sorts import Sort
 from repro.logic.structures import Structure
 from repro.logic.terms import Term
 from repro.obs.tracer import span as _span
-from repro.parallel.executor import run_chunked
-from repro.parallel.partition import chunk_ranges
 from repro.parallel.stats import (
     StatsSink,
     VerificationStats,
@@ -103,48 +101,12 @@ def enumerate_valid_structures(
             yield structure
 
 
-def _reachable_chunk(context, index_range):
-    """Worker chunk: realize the witness traces of an index range of
-    the state graph as level-1 structures (in state order)."""
-    information, carriers, algebra, interpretation, traces = context
-    before = engine_counters(algebra.engine)
-    structures = [
-        interpretation.structure_of_trace(
-            information, carriers, algebra, traces[index]
-        )
-        for index in index_range
-    ]
-    after = engine_counters(algebra.engine)
-    return structures, counter_delta(before, after, len(structures))
-
-
-def _valid_chunk(context, index_range):
-    """Worker chunk: filter an index range of the full structure
-    enumeration down to the consistent (valid) ones, in order."""
-    information, carriers = context
-    subset_spaces = _subset_spaces(information, carriers)
-    sliced = itertools.islice(
-        itertools.product(*subset_spaces),
-        index_range.start,
-        index_range.stop,
-    )
-    structures = []
-    for extensions in sliced:
-        structure = _structure_from_extensions(
-            information, carriers, extensions
-        )
-        if is_consistent_state(information, structure):
-            structures.append(structure)
-    return structures, {"items": len(index_range)}
-
-
 def reachable_structures(
     information: InformationSpec,
     carriers: dict[Sort, list[str]],
     algebra: TraceAlgebra,
     interpretation: Interpretation,
     graph: StateGraph | None = None,
-    workers: int = 1,
     stats: StatsSink | None = None,
 ) -> dict[Structure, Term]:
     """The set G as level-1 structures, each with a witness trace.
@@ -152,53 +114,29 @@ def reachable_structures(
     Args:
         graph: a previously computed state graph; explored fresh when
             omitted.
-        workers: realize witness traces on this many processes.  The
-            graph's state order is replayed during the merge, so the
-            result is identical for every worker count.
         stats: optional sink receiving one ``"reachable"`` record.
     """
     started = time.perf_counter()
     if graph is None:
-        graph = algebra.explore(workers=workers, stats=stats)
-    traces = list(graph.states.values())
-    if workers <= 1:
-        before = engine_counters(algebra.engine)
-        structures = [
-            interpretation.structure_of_trace(
-                information, carriers, algebra, trace
-            )
-            for trace in traces
-        ]
-        per_worker = [
-            WorkerStats(
-                worker=0,
-                wall_time=time.perf_counter() - started,
-                **counter_delta(
-                    before,
-                    engine_counters(algebra.engine),
-                    len(structures),
-                ),
-            )
-        ]
-    else:
-        context = (information, carriers, algebra, interpretation, traces)
-        chunked, per_worker = run_chunked(
-            _reachable_chunk,
-            context,
-            chunk_ranges(len(traces), workers),
-            workers,
-        )
-        structures = [s for chunk in chunked for s in chunk]
+        graph = algebra.explore(stats=stats)
+    before = engine_counters(algebra.engine)
     out: dict[Structure, Term] = {}
-    for structure, trace in zip(structures, traces):
+    for trace in graph.states.values():
+        structure = interpretation.structure_of_trace(
+            information, carriers, algebra, trace
+        )
         out.setdefault(structure, trace)
     if stats is not None:
+        record = WorkerStats(
+            worker=0,
+            wall_time=time.perf_counter() - started,
+            **counter_delta(
+                before, engine_counters(algebra.engine), len(graph.states)
+            ),
+        )
         stats.add(
             VerificationStats.merge(
-                "reachable",
-                max(1, workers),
-                per_worker,
-                time.perf_counter() - started,
+                "reachable", 1, [record], time.perf_counter() - started
             )
         )
     return out
@@ -287,45 +225,23 @@ class InclusionReport:
 def _valid_structure_list(
     information: InformationSpec,
     carriers: dict[Sort, list[str]],
-    workers: int,
     stats: StatsSink | None,
 ) -> list[Structure]:
-    """The set V in enumeration order, chunked across workers.
-
-    Chunks partition the extension product by index; concatenating
-    the per-chunk survivors in chunk order reproduces the serial
-    enumeration order exactly.
-    """
+    """The set V in enumeration order."""
     started = time.perf_counter()
-    if workers <= 1:
-        structures = list(enumerate_valid_structures(information, carriers))
-        total = 1
-        for space in _subset_spaces(information, carriers):
-            total *= len(space)
-        per_worker = [
-            WorkerStats(
-                worker=0,
-                items=total,
-                wall_time=time.perf_counter() - started,
-            )
-        ]
-    else:
-        total = 1
-        for space in _subset_spaces(information, carriers):
-            total *= len(space)
-        chunked, per_worker = run_chunked(
-            _valid_chunk,
-            (information, carriers),
-            chunk_ranges(total, workers),
-            workers,
-        )
-        structures = [s for chunk in chunked for s in chunk]
+    structures = list(enumerate_valid_structures(information, carriers))
     if stats is not None:
+        total = 1
+        for space in _subset_spaces(information, carriers):
+            total *= len(space)
+        record = WorkerStats(
+            worker=0, items=total, wall_time=time.perf_counter() - started
+        )
         stats.add(
             VerificationStats.merge(
                 "valid-enumeration",
-                max(1, workers),
-                per_worker,
+                1,
+                [record],
                 time.perf_counter() - started,
             )
         )
@@ -338,20 +254,16 @@ def compare_valid_reachable(
     algebra: TraceAlgebra,
     interpretation: Interpretation,
     graph: StateGraph | None = None,
-    workers: int = 1,
     stats: StatsSink | None = None,
 ) -> InclusionReport:
     """Decide both inclusions of Sections 4.4b and 4.4c exhaustively.
 
     Args:
-        workers: fan the exploration, trace realization, and validity
-            enumeration out over this many processes; the report is
-            identical for every worker count.
         stats: optional sink receiving one record per phase.
     """
     if graph is None:
-        graph = algebra.explore(workers=workers, stats=stats)
-    with _span("inclusion", workers=workers) as obs_span:
+        graph = algebra.explore(stats=stats)
+    with _span("inclusion") as obs_span:
         with _span("inclusion.reachable"):
             reachable = reachable_structures(
                 information,
@@ -359,14 +271,11 @@ def compare_valid_reachable(
                 algebra,
                 interpretation,
                 graph,
-                workers=workers,
                 stats=stats,
             )
         with _span("inclusion.valid-enumeration"):
             valid = set(
-                _valid_structure_list(
-                    information, carriers, workers, stats
-                )
+                _valid_structure_list(information, carriers, stats)
             )
         obs_span.count("inclusion.reachable_states", len(reachable))
         obs_span.count("inclusion.valid_states", len(valid))

@@ -36,8 +36,6 @@ from repro.logic import formulas as fm
 from repro.logic.sorts import BOOLEAN, STATE, Sort
 from repro.logic.terms import App, Term, Var
 from repro.obs.tracer import span as _span
-from repro.parallel.executor import run_chunked
-from repro.parallel.partition import chunk_ranges
 from repro.parallel.stats import (
     StatsSink,
     VerificationStats,
@@ -597,8 +595,8 @@ class SecondToThirdReport:
         return "\n".join(lines)
 
 
-#: The serial early-exit cap on recorded equation failures, replayed
-#: by the parallel merger.
+#: The early-exit cap on recorded equation failures: the sweep stops
+#: once this many are recorded.
 _FAILURE_CAP = 20
 
 
@@ -624,97 +622,11 @@ def _equation_frame(spec: AlgebraicSpec, equation: ConditionalEquation):
     return state_vars, param_vars, spaces
 
 
-def _check_pair(
-    spec: AlgebraicSpec,
-    induced: InducedStructure,
-    state: DatabaseState,
-    equation: ConditionalEquation,
-    failure_budget: int,
-):
-    """Check one (equation, state) pair.
-
-    Returns ``(instances evaluated, [(instance offset, failure), ...])``
-    where the offset is the pair-local instance count at the failure —
-    the value the merger needs to replay the serial early exit.  Stops
-    once ``failure_budget`` failures are recorded.
-    """
-    state_vars, param_vars, spaces = _equation_frame(spec, equation)
-    pair_instances = 0
-    pair_failures: list[tuple[int, EquationFailure]] = []
-    for values in itertools.product(*spaces):
-        valuation: dict[Var, Hashable] = dict(zip(param_vars, values))
-        if state_vars:
-            valuation[state_vars[0]] = state
-        if equation.condition is not None and not induced.holds(
-            equation.condition, valuation
-        ):
-            continue
-        pair_instances += 1
-        lhs_value = induced.eval_term(equation.lhs, valuation)
-        rhs_value = induced.eval_term(equation.rhs, valuation)
-        if lhs_value != rhs_value:
-            pair_failures.append(
-                (
-                    pair_instances,
-                    EquationFailure(
-                        equation,
-                        state,
-                        tuple(
-                            (var.name, value)
-                            for var, value in zip(param_vars, values)
-                        ),
-                        lhs_value,
-                        rhs_value,
-                    ),
-                )
-            )
-            if len(pair_failures) >= failure_budget:
-                break
-    return pair_instances, pair_failures
-
-
-def _pairs_chunk(context, index_range):
-    """Worker chunk: check an index range of (equation, state) pairs.
-
-    Each pair yields ``("ok", instances, failures)`` or — when the
-    equation is malformed — ``("error", message)``, so the merger can
-    re-raise at exactly the serial raise point.  The chunk stops once
-    it holds :data:`_FAILURE_CAP` failures; the merge can never need
-    more than the cap from a single chunk.
-    """
-    spec, induced, states = context
-    num_states = len(states)
-    records = []
-    local_failures = 0
-    items = 0
-    for flat in index_range:
-        if local_failures >= _FAILURE_CAP:
-            break
-        eq_index, state_index = divmod(flat, num_states)
-        equation = spec.equations[eq_index]
-        try:
-            pair_instances, pair_failures = _check_pair(
-                spec,
-                induced,
-                states[state_index],
-                equation,
-                _FAILURE_CAP - local_failures,
-            )
-        except RefinementError as exc:
-            records.append(("error", str(exc)))
-            break
-        items += pair_instances
-        local_failures += len(pair_failures)
-        records.append(("ok", pair_instances, pair_failures))
-    return records, {"items": items}
-
-
 def check_refinement(
     spec: AlgebraicSpec,
     schema: Schema,
     rep_map: RepresentationMap | None = None,
     max_states: int = 100_000,
-    workers: int = 1,
     stats: StatsSink | None = None,
 ) -> SecondToThirdReport:
     """Verify that T3 is a correct refinement of T2 under K.
@@ -725,11 +637,6 @@ def check_refinement(
     domains; both sides are evaluated in the induced structure N(U).
 
     Args:
-        workers: check (equation, state) pairs on this many processes.
-            The merge replays the serial pair order — including the
-            early exit after twenty failures and its exact
-            ``instances_checked`` count — so the report is identical
-            for every worker count.
         stats: optional sink receiving one ``"second-third"`` record.
     """
     started = time.perf_counter()
@@ -740,122 +647,76 @@ def check_refinement(
         states = induced.reachable_states(max_states=max_states)
         rs.count("second_third.db_states", len(states))
 
-    if workers <= 1:
-        failures: list[EquationFailure] = []
-        instances = 0
-        report = None
-        for equation in spec.equations:
-            state_vars, param_vars, spaces = _equation_frame(
-                spec, equation
-            )
-            for state in states:
-                for values in itertools.product(*spaces):
-                    valuation: dict[Var, Hashable] = dict(
-                        zip(param_vars, values)
-                    )
-                    if state_vars:
-                        valuation[state_vars[0]] = state
-                    if (
-                        equation.condition is not None
-                        and not induced.holds(
-                            equation.condition, valuation
-                        )
-                    ):
-                        continue
-                    instances += 1
-                    lhs_value = induced.eval_term(
-                        equation.lhs, valuation
-                    )
-                    rhs_value = induced.eval_term(
-                        equation.rhs, valuation
-                    )
-                    if lhs_value != rhs_value:
-                        failures.append(
-                            EquationFailure(
-                                equation,
-                                state,
-                                tuple(
-                                    (var.name, value)
-                                    for var, value in zip(
-                                        param_vars, values
-                                    )
-                                ),
-                                lhs_value,
-                                rhs_value,
-                            )
-                        )
-                        if len(failures) >= _FAILURE_CAP:
-                            report = SecondToThirdReport(
-                                False,
-                                len(states),
-                                instances,
-                                tuple(failures),
-                            )
-                            break
-                if report is not None:
-                    break
-            if report is not None:
-                break
-        if report is None:
-            report = SecondToThirdReport(
-                not failures, len(states), instances, tuple(failures)
-            )
-        if stats is not None:
-            record = WorkerStats(
-                worker=0,
-                items=report.instances_checked,
-                wall_time=time.perf_counter() - started,
-            )
-            stats.add(
-                VerificationStats.merge(
-                    "second-third",
-                    1,
-                    [record],
-                    time.perf_counter() - started,
-                )
-            )
-        return report
-
-    total_pairs = len(spec.equations) * len(states)
-    with _span(
-        "second-third.pairs", workers=workers, pairs=total_pairs
-    ):
-        chunked, per_worker = run_chunked(
-            _pairs_chunk,
-            (spec, induced, states),
-            chunk_ranges(total_pairs, workers),
-            workers,
-        )
-    failures = []
+    failures: list[EquationFailure] = []
     instances = 0
     report = None
-    for record in itertools.chain.from_iterable(chunked):
-        if record[0] == "error":
-            raise RefinementError(record[1])
-        _, pair_instances, pair_failures = record
-        for offset, failure in pair_failures:
-            failures.append(failure)
-            if len(failures) >= _FAILURE_CAP:
-                report = SecondToThirdReport(
-                    False,
-                    len(states),
-                    instances + offset,
-                    tuple(failures),
+    for equation in spec.equations:
+        state_vars, param_vars, spaces = _equation_frame(
+            spec, equation
+        )
+        for state in states:
+            for values in itertools.product(*spaces):
+                valuation: dict[Var, Hashable] = dict(
+                    zip(param_vars, values)
                 )
+                if state_vars:
+                    valuation[state_vars[0]] = state
+                if (
+                    equation.condition is not None
+                    and not induced.holds(
+                        equation.condition, valuation
+                    )
+                ):
+                    continue
+                instances += 1
+                lhs_value = induced.eval_term(
+                    equation.lhs, valuation
+                )
+                rhs_value = induced.eval_term(
+                    equation.rhs, valuation
+                )
+                if lhs_value != rhs_value:
+                    failures.append(
+                        EquationFailure(
+                            equation,
+                            state,
+                            tuple(
+                                (var.name, value)
+                                for var, value in zip(
+                                    param_vars, values
+                                )
+                            ),
+                            lhs_value,
+                            rhs_value,
+                        )
+                    )
+                    if len(failures) >= _FAILURE_CAP:
+                        report = SecondToThirdReport(
+                            False,
+                            len(states),
+                            instances,
+                            tuple(failures),
+                        )
+                        break
+            if report is not None:
                 break
         if report is not None:
             break
-        instances += pair_instances
     if report is None:
         report = SecondToThirdReport(
             not failures, len(states), instances, tuple(failures)
         )
     if stats is not None:
+        record = WorkerStats(
+            worker=0,
+            items=report.instances_checked,
+            wall_time=time.perf_counter() - started,
+        )
         stats.add(
             VerificationStats.merge(
                 "second-third",
-                workers,
-                per_worker,
+                1,
+                [record],
                 time.perf_counter() - started,
             )
         )

@@ -8,7 +8,7 @@ each axiom is grounded over the application's carriers into
 **instances** — one per outer-∀ binding — and each instance is
 compiled, through the refinement interpretation I (db-predicate →
 L2 Boolean term), into a closure over store cells plus its static read
-set (:mod:`repro.runtime.compiler`).
+set (:mod:`repro.algebraic.compiler`).
 
 Admission is then O(delta): instances are indexed by the cells they
 read, and an update only re-checks the instances whose reads intersect
@@ -48,13 +48,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.errors import ServingError
-from repro.algebraic.spec import AlgebraicSpec
-from repro.information.spec import InformationSpec
-from repro.logic import formulas as fm
-from repro.logic.sorts import BOOLEAN, Sort
-from repro.logic.terms import App, Term, Var
-from repro.refinement.interpretation import Interpretation
-from repro.runtime.compiler import (
+from repro.algebraic.compiler import (
     Cell,
     Getter,
     UnsupportedTermError,
@@ -64,6 +58,12 @@ from repro.runtime.compiler import (
     compile_ground_formula,
     compile_ground_term,
 )
+from repro.algebraic.spec import AlgebraicSpec
+from repro.information.spec import InformationSpec
+from repro.logic import formulas as fm
+from repro.logic.sorts import BOOLEAN, Sort
+from repro.logic.terms import App, Term, Var
+from repro.refinement.interpretation import Interpretation
 from repro.temporal.formulas import Necessarily, Possibly, is_modal
 
 __all__ = ["AdmissionGuard", "GuardViolation"]

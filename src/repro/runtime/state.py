@@ -38,6 +38,7 @@ from typing import Callable, Hashable, Mapping
 from repro.errors import IncompletenessError, ServingError
 from repro.obs.tracer import OBS_STATE as _OBS
 from repro.algebraic.algebra import Snapshot, TraceAlgebra
+from repro.algebraic.compiler import Cell
 from repro.algebraic.description import StructuredDescription
 from repro.algebraic.induction import (
     abstract_successor,
@@ -46,7 +47,6 @@ from repro.algebraic.induction import (
 from repro.algebraic.plans import UpdatePlan, UpdatePlanner
 from repro.algebraic.spec import AlgebraicSpec
 from repro.logic.sorts import BOOLEAN
-from repro.runtime.compiler import Cell
 
 __all__ = ["MaterializedState", "UpdatePlan"]
 

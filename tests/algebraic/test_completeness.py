@@ -4,6 +4,7 @@ failure-injected specifications."""
 import pytest
 
 from repro.algebraic.completeness import (
+    _UNCOVERED_CAP,
     check_coverage,
     check_sufficient_completeness,
     check_termination,
@@ -15,6 +16,35 @@ from repro.applications.courses import courses_algebraic
 from repro.logic import formulas as fm
 from repro.logic.sorts import STATE
 from repro.logic.terms import Var
+
+
+def _c1_only_spec():
+    """Conditions only cover ``c = c1``: evaluating ``q(c2,
+    touch(...))`` finds no applicable equation."""
+    signature, c, u = _tiny()
+    course = signature.logic.sort("course")
+    touched = signature.apply_update("touch", c, u)
+    only_c1 = fm.Equals(c, signature.value(course, "c1"))
+    equations = (
+        ConditionalEquation(
+            signature.apply_query("q", c, signature.initial_term()),
+            signature.false(),
+        ),
+        ConditionalEquation(
+            signature.apply_query("r", c, signature.initial_term()),
+            signature.false(),
+        ),
+        ConditionalEquation(
+            signature.apply_query("q", c, touched),
+            signature.true(),
+            only_c1,
+        ),
+        ConditionalEquation(
+            signature.apply_query("r", c, touched),
+            signature.false(),
+        ),
+    )
+    return AlgebraicSpec(signature, equations)
 
 
 def _tiny():
@@ -141,37 +171,18 @@ class TestCoverage:
         assert ("q", "touch") in report.missing_constructors
 
     def test_non_exhaustive_conditions_reported(self):
-        # Conditions only cover c = c1; evaluating q(c2, touch(...))
-        # finds no applicable equation.
-        signature, c, u = _tiny()
-        course = signature.logic.sort("course")
-        touched = signature.apply_update("touch", c, u)
-        only_c1 = fm.Equals(c, signature.value(course, "c1"))
-        equations = (
-            ConditionalEquation(
-                signature.apply_query("q", c, signature.initial_term()),
-                signature.false(),
-            ),
-            ConditionalEquation(
-                signature.apply_query("r", c, signature.initial_term()),
-                signature.false(),
-            ),
-            ConditionalEquation(
-                signature.apply_query("q", c, touched),
-                signature.true(),
-                only_c1,
-            ),
-            ConditionalEquation(
-                signature.apply_query("r", c, touched),
-                signature.false(),
-            ),
-        )
-        report = check_coverage(
-            AlgebraicSpec(signature, equations), depth=1
-        )
+        report = check_coverage(_c1_only_spec(), depth=1)
         assert not report.ok
         assert report.uncovered
         assert "gaps" in str(report)
+
+    def test_scan_stops_at_the_gap_cap(self):
+        report = check_coverage(_c1_only_spec(), depth=2)
+        assert not report.ok
+        assert len(report.uncovered) == _UNCOVERED_CAP
+        # Seven traces reach depth 2; the tenth gap turns up on the
+        # fifth, and the scan stops there.
+        assert report.traces_checked == 5
 
 
 class TestCombined:

@@ -12,11 +12,17 @@ import pytest
 
 from repro.algebraic.algebra import TraceAlgebra
 from repro.algebraic.equations import ConditionalEquation
+from repro.algebraic.exploration import PackedExplorer, PackedUnsupported
+from repro.algebraic.signature import AlgebraicSignature
 from repro.algebraic.spec import AlgebraicSpec
 from repro.applications.bank import bank_algebraic
 from repro.applications.courses import courses_algebraic
 from repro.applications.library import library_algebraic
 from repro.applications.projects import projects_algebraic
+from repro.errors import IncompletenessError
+from repro.logic import formulas as fm
+from repro.logic.sorts import STATE
+from repro.logic.terms import Var
 
 APPS = {
     "courses": courses_algebraic,
@@ -135,3 +141,71 @@ class TestDeltaReexploration:
             graph = algebra.explore(edge_cache=garbage)
             assert graph == expected
             assert not graph.delta["used_cache"]
+
+
+def _incomplete_spec() -> AlgebraicSpec:
+    """``q(c, touch(c', U))`` is defined only for ``c = c1``: exploring
+    reaches a state on which no equation applies."""
+    signature = AlgebraicSignature()
+    course = signature.add_parameter_sort("course")
+    signature.add_parameter_values(course, ["c1", "c2"])
+    signature.add_query("q", [course])
+    signature.add_initial()
+    signature.add_update("touch", [course])
+    c = Var("c", course)
+    touched = signature.apply_update("touch", c, Var("U", STATE))
+    equations = (
+        ConditionalEquation(
+            signature.apply_query("q", c, signature.initial_term()),
+            signature.false(),
+        ),
+        ConditionalEquation(
+            signature.apply_query("q", c, touched),
+            signature.true(),
+            fm.Equals(c, signature.value(course, "c1")),
+        ),
+    )
+    return AlgebraicSpec(signature, equations)
+
+
+class TestPackedFallback:
+    """Only the errors the object BFS re-reports with exact messages
+    fall back to it; anything else is a packed-explorer bug and
+    propagates instead of silently running the slow path."""
+
+    def test_packed_explorer_bug_propagates(self, monkeypatch):
+        def broken(self, *args):
+            raise RuntimeError("packed explorer bug")
+
+        monkeypatch.setattr(PackedExplorer, "explore", broken)
+        with pytest.raises(RuntimeError, match="packed explorer bug"):
+            TraceAlgebra(courses_algebraic()).explore()
+
+    def test_spec_error_reports_the_object_path_message(
+        self, monkeypatch
+    ):
+        spec = _incomplete_spec()
+        with pytest.raises(IncompletenessError) as object_path:
+            TraceAlgebra(spec, packed=False).explore()
+        with pytest.raises(IncompletenessError) as unpatched:
+            TraceAlgebra(spec).explore()
+        assert str(unpatched.value) == str(object_path.value)
+
+        def incomplete(self, *args):
+            raise IncompletenessError("packed-side message")
+
+        monkeypatch.setattr(PackedExplorer, "explore", incomplete)
+        with pytest.raises(IncompletenessError) as packed_path:
+            TraceAlgebra(spec).explore()
+        assert str(packed_path.value) == str(object_path.value)
+        assert "q(c2, touch(c1, initiate))" in str(packed_path.value)
+
+    def test_unsupported_mid_explore_falls_back(self, monkeypatch):
+        def unsupported(self, *args):
+            raise PackedUnsupported("outside the packed fragment")
+
+        monkeypatch.setattr(PackedExplorer, "explore", unsupported)
+        graph = TraceAlgebra(courses_algebraic()).explore()
+        assert graph == TraceAlgebra(
+            courses_algebraic(), packed=False
+        ).explore()

@@ -68,7 +68,7 @@ class TestObservabilityFlags:
         assert main(
             [
                 "verify", "courses", "--quiet",
-                "--workers", "2", "--trace", str(path),
+                "--workers", "3", "--trace", str(path),
             ]
         ) == 0
         events = json.loads(path.read_text())["traceEvents"]
@@ -77,10 +77,10 @@ class TestObservabilityFlags:
             for event in events
             if event["name"] == "chunk"
         }
-        # The inline bounded sweeps split into one chunk per worker;
-        # the independent serial checks additionally fan out as one
-        # chunk each, so higher tids may appear behind them.
-        assert {1, 2} <= chunk_tids
+        # The four independent checks fan out as one chunk each,
+        # pinned to the rows of the two virtual workers that run
+        # beside this process.
+        assert chunk_tids == {1, 2}
 
     def test_trace_jsonl_and_summary(self, tmp_path, capsys):
         import json
@@ -181,6 +181,38 @@ class TestKernelStatsFields:
             "kernel.delta.cached_transitions",
         ):
             assert name in gauges, name
+
+
+class TestWorkerCountReporting:
+    """Every check runs its serial loop in one process, so each part
+    reports ``workers=1``; the bundle keeps the requested count."""
+
+    def test_stats_lines(self, capsys):
+        assert main(
+            ["verify", "library", "--quiet", "--stats", "--workers", "2"]
+        ) == 0
+        lines = [
+            line.strip()
+            for line in capsys.readouterr().out.splitlines()
+            if line.strip().startswith("[")
+            and "workers=" in line
+        ]
+        *parts, bundle = lines
+        assert parts and all(" workers=1 " in line for line in parts)
+        assert bundle.startswith("[verify] workers=2 ")
+
+    def test_metrics_gauge(self, tmp_path):
+        import json
+
+        path = tmp_path / "metrics.json"
+        assert main(
+            [
+                "verify", "library", "--quiet", "--workers", "2",
+                "--metrics-json", str(path),
+            ]
+        ) == 0
+        gauges = json.loads(path.read_text())["gauges"]
+        assert gauges["verify.workers"] == 2
 
 
 class TestSchemaAndAxioms:

@@ -131,6 +131,11 @@ def _build_term_chunk(context, depth):
     return _deep_trace(depth), {"items": 1}
 
 
+def _explore_chunk(algebra, _):
+    """Worker chunk: explore the context algebra, ship its snapshots."""
+    return list(algebra.explore().states), {"items": 1}
+
+
 class TestForkedWorkers:
     def test_terms_survive_worker_round_trip(self):
         from repro.parallel.executor import ParallelExecutor
@@ -143,19 +148,21 @@ class TestForkedWorkers:
         assert results[0] is _deep_trace(6)
         assert results[2] is _deep_trace(9)
 
-    def test_parallel_explore_uses_interned_snapshots(self):
+    def test_snapshots_from_a_worker_intern_on_arrival(self):
         from repro.algebraic.algebra import TraceAlgebra
         from repro.applications import courses
+        from repro.parallel.executor import ParallelExecutor
 
         algebra = TraceAlgebra(courses.courses_algebraic())
         serial = algebra.explore()
-        algebra.engine.clear_cache()
-        parallel = algebra.explore(workers=2)
-        # Snapshots computed in forked workers intern on arrival: the
-        # parallel graph's states are identical objects to the serial
-        # ones, not merely equal.
-        for snapshot in parallel.states:
-            assert any(snapshot is other for other in serial.states)
+        with ParallelExecutor(2, context=algebra) as executor:
+            [shipped] = executor.map(_explore_chunk, [None])
+        # The worker explored on its own copy of the algebra; its
+        # snapshots intern on arrival, so they are the very objects
+        # the parent's own exploration holds, not merely equal ones.
+        assert len(shipped) == len(serial.states)
+        for snapshot, other in zip(shipped, serial.states):
+            assert snapshot is other
 
 
 class TestInternTableLifecycle:

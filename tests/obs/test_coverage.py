@@ -110,19 +110,6 @@ class TestFireSetAPI:
         assert recorder.fire_set("nope", "nothing") == frozenset()
         assert recorder.u_fire_set("nothing") == frozenset()
 
-    def test_dict_access_is_deprecated(self):
-        import warnings
-
-        recorder = _sample_recorder()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            recorder.fired
-            recorder.fired_u
-        assert len(caught) == 2
-        assert all(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-
 
 # ---------------------------------------------------------------------
 # the switch: enable/disable/activate/capture

@@ -3,10 +3,11 @@ process boundary, merge deterministically, and cost nothing when off."""
 
 import timeit
 
-from repro.algebraic.algebra import TraceAlgebra
 from repro.obs.tracer import OBS_STATE, activate, count, span
-from repro.parallel.executor import run_chunked
-from repro.parallel.partition import chunk_ranges
+from repro.parallel.executor import ParallelExecutor
+
+#: Twelve values in three contiguous chunks.
+_RANGES = [range(0, 4), range(4, 8), range(8, 12)]
 
 
 def _square_chunk(context, index_range):
@@ -19,11 +20,18 @@ def _square_chunk(context, index_range):
     return total, {"items": len(index_range)}
 
 
-def _run(workers, chunks=3, n=12):
-    values = list(range(n))
-    args = chunk_ranges(n, chunks)
+def _map(fn, context, args, workers):
+    """Run one batch; return its results and per-chunk stats."""
+    with ParallelExecutor(workers, context=context) as executor:
+        results = executor.map(fn, args)
+    return results, executor.worker_stats
+
+
+def _run(workers):
     with activate() as tracer:
-        results, stats = run_chunked(_square_chunk, values, args, workers)
+        results, stats = _map(
+            _square_chunk, list(range(12)), _RANGES, workers
+        )
     return tracer, results, stats
 
 
@@ -39,9 +47,7 @@ def _skeleton(tracer):
 class TestForkSurvival:
     def test_worker_buffers_come_back_across_fork(self):
         tracer, results, stats = _run(workers=3)
-        assert results == [
-            sum(i ** 2 for i in r) for r in chunk_ranges(12, 3)
-        ]
+        assert results == [sum(i ** 2 for i in r) for r in _RANGES]
         chunks = [s for s in tracer.walk() if s.name == "chunk"]
         assert [c.attrs["worker"] for c in chunks] == [0, 1, 2]
         for chunk in chunks:
@@ -60,71 +66,32 @@ class TestForkSurvival:
             assert "spans" not in record.to_dict()
 
     def test_no_spans_shipped_when_tracing_is_off(self):
-        values = list(range(12))
-        _, stats = run_chunked(
-            _square_chunk, values, chunk_ranges(12, 3), 2
-        )
+        _, stats = _map(_square_chunk, list(range(12)), _RANGES, 2)
         assert all(record.spans == () for record in stats)
 
 
 class TestDeterministicMerge:
     def test_trace_skeleton_is_identical_for_any_worker_count(self):
-        args = chunk_ranges(12, 3)
         skeletons = []
-        for workers in (1, 2, 3):
+        for workers in (0, 1, 2, 3):
             with activate() as tracer:
-                run_chunked(
-                    _square_chunk, list(range(12)), args, workers
-                )
+                _map(_square_chunk, list(range(12)), _RANGES, workers)
             skeletons.append(_skeleton(tracer))
-        assert skeletons[0] == skeletons[1] == skeletons[2]
+        assert all(skeleton == skeletons[0] for skeleton in skeletons)
 
     def test_chunks_graft_under_the_parents_open_span(self):
         with activate() as tracer:
             with span("level", depth=1):
-                run_chunked(
+                _map(
                     _square_chunk,
                     list(range(6)),
-                    chunk_ranges(6, 2),
+                    [range(0, 3), range(3, 6)],
                     2,
                 )
         (level,) = tracer.roots
         assert level.name == "level"
         assert [c.name for c in level.children] == ["chunk", "chunk"]
         assert [c.attrs["worker"] for c in level.children] == [0, 1]
-
-
-class TestEngineIntegration:
-    def test_parallel_explore_traces_levels_and_chunks(
-        self, courses_algebra
-    ):
-        with activate() as tracer:
-            graph = TraceAlgebra(courses_algebra.spec).explore(workers=2)
-        assert len(graph.states) == 25
-        names = [recorded.name for recorded in tracer.walk()]
-        assert "explore" in names
-        assert "explore.level" in names
-        assert "chunk" in names
-        (explore,) = tracer.roots
-        totals = tracer.counter_totals()
-        assert totals["explore.states"] == 25
-        assert explore.name == "explore"
-
-    def test_serial_and_parallel_explore_agree_on_counters(self):
-        from repro.applications.courses import courses_algebraic
-
-        spec = courses_algebraic()
-        with activate() as serial_tracer:
-            TraceAlgebra(spec).explore(workers=1)
-        with activate() as parallel_tracer:
-            TraceAlgebra(spec).explore(workers=2)
-        serial = serial_tracer.counter_totals()
-        parallel = parallel_tracer.counter_totals()
-        assert serial["explore.states"] == parallel["explore.states"]
-        assert (
-            serial["explore.transitions"]
-            == parallel["explore.transitions"]
-        )
 
 
 class TestDisabledOverheadSmoke:

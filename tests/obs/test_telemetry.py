@@ -20,7 +20,7 @@ from repro.obs.telemetry import (
     enable_telemetry,
     telemetry_enabled,
 )
-from repro.parallel import run_chunked
+from repro.parallel import ParallelExecutor
 from repro.parallel.backends import make_backend
 from repro.parallel.worker import WorkerServer
 
@@ -161,13 +161,10 @@ class TestMergeDeterminism:
             server.shutdown()
 
     def _run(self, backend, workers):
-        results, _stats = run_chunked(
-            _histogram_chunk,
-            {},
-            _DURATION_CHUNKS,
-            workers=workers,
-            backend=backend,
-        )
+        with ParallelExecutor(
+            workers, context={}, backend=backend
+        ) as executor:
+            results = executor.map(_histogram_chunk, _DURATION_CHUNKS)
         return _merged(results)
 
     def test_workers_1_and_4_merge_identically_inline(self):

@@ -13,14 +13,14 @@ Chunk functions live at module level: workers resolve them by
 """
 
 import gc
+import multiprocessing
+import threading
+import time
 import weakref
 
 import pytest
 
-from repro.parallel import (
-    ParallelExecutor,
-    run_chunked,
-)
+from repro.parallel import ParallelExecutor
 from repro.parallel.backends import (
     BACKEND_NAMES,
     ExecutorBackendError,
@@ -70,8 +70,28 @@ def _square_chunk(context, arg):
     return arg * arg, {"items": 1}
 
 
+def _map(fn, context, args, workers, backend=None):
+    """Run one batch; return its results and per-chunk stats."""
+    with ParallelExecutor(
+        workers, context=context, backend=backend
+    ) as executor:
+        results = executor.map(fn, args)
+    return results, executor.worker_stats
+
+
 def _failing_chunk(context, arg):
     raise ValueError(f"chunk {arg} exploded")
+
+
+#: Released by the tests so an in-process socket worker stops waiting.
+_RELEASE = threading.Event()
+
+
+def _blocking_chunk(context, arg):
+    # In a forked worker nothing ever sets the event: only the pool's
+    # abandon path ends this chunk early.
+    _RELEASE.wait(timeout=60)
+    return arg, {"items": 1}
 
 
 #: Chunk args with deliberate overlap, so memo warmth shows up in the
@@ -174,7 +194,7 @@ class TestCrossBackendIdentity:
     """Same results and same canonicalized stats on every backend."""
 
     def _run(self, backend, workers):
-        return run_chunked(
+        return _map(
             _memo_chunk,
             _MemoContext(),
             _MEMO_ARGS,
@@ -213,13 +233,48 @@ class TestCrossBackendIdentity:
     def test_socket_chunk_error_propagates(self, worker_servers):
         addresses = [server.address for server in worker_servers]
         with pytest.raises(Exception, match="exploded"):
-            run_chunked(
+            _map(
                 _failing_chunk,
                 {"ok": True},
                 [1, 2],
                 workers=2,
                 backend=make_backend("socket", addresses=addresses),
             )
+
+    def test_socket_outcomes_unpickle_in_the_collecting_thread(
+        self, worker_servers, monkeypatch
+    ):
+        # Unpickling re-interns terms into process-wide tables, which
+        # must not race with the caller's own work while a batch is
+        # in flight: the sender threads only move bytes.
+        import pickle
+        import threading
+
+        import repro.parallel.backends as backends
+
+        loading_threads = []
+
+        class _Recording:
+            HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
+            dumps = staticmethod(pickle.dumps)
+
+            @staticmethod
+            def loads(data):
+                loading_threads.append(threading.current_thread())
+                return pickle.loads(data)
+
+        monkeypatch.setattr(backends, "pickle", _Recording)
+        addresses = [server.address for server in worker_servers]
+        results, _ = _map(
+            _square_chunk,
+            None,
+            [1, 2, 3],
+            workers=2,
+            backend=make_backend("socket", addresses=addresses),
+        )
+        assert results == [1, 4, 9]
+        assert len(loading_threads) == 3
+        assert set(loading_threads) == {threading.current_thread()}
 
     def test_socket_unpicklable_context_is_an_error(self, worker_servers):
         addresses = [server.address for server in worker_servers]
@@ -275,6 +330,26 @@ class TestSpecLevelIdentity:
         assert outcomes["inline"] == outcomes["fork"]
         assert outcomes["inline"] == outcomes["socket"]
 
+    @pytest.mark.parametrize("name", ["inline", "fork", "socket"])
+    def test_stats_identical_across_worker_counts(
+        self, worker_servers, name
+    ):
+        from repro.applications.library import library_framework
+
+        addresses = [server.address for server in worker_servers]
+        backend = make_backend(
+            name, addresses=addresses if name == "socket" else None
+        )
+        serial = library_framework().verify(collect_stats=True)
+        fanned = library_framework().verify(
+            workers=4, collect_stats=True, backend=backend
+        )
+        assert str(fanned) == str(serial)
+        assert (serial.stats.workers, fanned.stats.workers) == (1, 4)
+        assert _scrub_ambient(fanned.stats.to_dict())["parts"] == (
+            _scrub_ambient(serial.stats.to_dict())["parts"]
+        )
+
     def test_verify_workers_4_matches_serial_report(self):
         from repro.applications.library import library_framework
 
@@ -298,18 +373,18 @@ class TestForkDegradation:
 
         monkeypatch.setattr(backends, "_spawn_fork_worker", refuse)
         assert ForkBackend().open_pool(4, {"n": 1}) is None
-        results, stats = run_chunked(
+        results, stats = _map(
             _memo_chunk,
             _MemoContext(),
             _MEMO_ARGS,
             workers=4,
             backend="fork",
         )
-        serial_results, serial_stats = run_chunked(
+        serial_results, serial_stats = _map(
             _memo_chunk,
             _MemoContext(),
             _MEMO_ARGS,
-            workers=1,
+            workers=0,
         )
         # Same chunks, same order, same live context: results and
         # per-chunk counters match the serial run exactly.
@@ -330,10 +405,7 @@ class TestForkDegradation:
         degraded = library_framework().verify(workers=4)
         serial = library_framework().verify(workers=1)
         # The report — verdicts, counts, everything rendered — is
-        # byte-identical to the serial run.  (Counter *stats* are
-        # compared at fixed W across backends elsewhere: the chunk
-        # plan itself depends on W, so stats are W-dependent by
-        # design.)
+        # byte-identical to the serial run.
         assert str(degraded) == str(serial)
         # And the degraded run is deterministic.
         again = library_framework().verify(workers=4)
@@ -341,6 +413,53 @@ class TestForkDegradation:
         assert _scrub_ambient(again.stats.to_dict()) == _scrub_ambient(
             degraded.stats.to_dict()
         )
+
+
+class TestAbandonedBatch:
+    """A pool closed with a batch still in flight (its caller raised
+    before collecting) stops waiting for it; a collected batch closes
+    politely."""
+
+    def test_fork_close_terminates_in_flight_workers(self):
+        pool = ForkBackend().open_pool(2, {"n": 1})
+        processes = multiprocessing.active_children()
+        assert len(processes) == 2
+        pool.submit([(_blocking_chunk, i, i) for i in range(2)])
+        started = time.perf_counter()
+        pool.close()
+        assert time.perf_counter() - started < 4
+        assert not any(process.is_alive() for process in processes)
+        assert multiprocessing.active_children() == []
+
+    def test_fork_close_after_collect_is_polite(self):
+        pool = ForkBackend().open_pool(2, {"n": 1})
+        processes = multiprocessing.active_children()
+        outcomes = pool.submit(
+            [(_square_chunk, i, i) for i in range(3)]
+        ).wait()
+        assert [result for result, _ in outcomes] == [0, 1, 4]
+        pool.close()
+        # Exit code 0: the workers left their loop on the stop
+        # message instead of being terminated.
+        assert [process.exitcode for process in processes] == [0, 0]
+
+    def test_socket_close_drops_in_flight_sessions(self, worker_servers):
+        addresses = [server.address for server in worker_servers]
+        backend = make_backend("socket", addresses=addresses)
+        _RELEASE.clear()
+        try:
+            pool = backend.open_pool(2, {"n": 1})
+            pool.submit([(_blocking_chunk, i, i) for i in range(2)])
+            started = time.perf_counter()
+            pool.close()
+            assert time.perf_counter() - started < 4
+        finally:
+            _RELEASE.set()
+        # The workers outlive the dropped sessions.
+        results, _ = _map(
+            _square_chunk, None, [1, 2], workers=2, backend=backend
+        )
+        assert results == [1, 4]
 
 
 class TestContextRelease:
@@ -367,7 +486,7 @@ class TestContextRelease:
 
         context = Blob()
         ref = weakref.ref(context)
-        with ParallelExecutor(1, context=context) as executor:
+        with ParallelExecutor(0, context=context) as executor:
             executor.map(_square_chunk, [2])
         del context
         gc.collect()

@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from repro.parallel import ParallelExecutor, run_chunked
+from repro.parallel import ParallelExecutor
 
 
 def _square_chunk(context, arg):
@@ -18,6 +18,13 @@ def _square_chunk(context, arg):
 
 def _context_chunk(context, arg):
     return (context["base"] + arg, os.getpid()), {"items": 1}
+
+
+def _map(fn, context, args, workers):
+    """Run one batch; return its results and per-chunk stats."""
+    with ParallelExecutor(workers, context=context) as executor:
+        results = executor.map(fn, args)
+    return results, executor.worker_stats
 
 
 def _counting_chunk(context, indices):
@@ -30,10 +37,11 @@ def _counting_chunk(context, indices):
 
 
 class TestInline:
-    def test_workers_1_runs_in_process(self):
-        with ParallelExecutor(1, context=None) as executor:
-            results = executor.map(_square_chunk, [3, 1, 2])
-        assert results == [9, 1, 4]
+    def test_workers_0_runs_in_process(self):
+        with ParallelExecutor(0, context={"base": 0}) as executor:
+            results = executor.map(_context_chunk, [3, 1, 2])
+        assert [value for value, _pid in results] == [3, 1, 2]
+        assert {pid for _value, pid in results} == {os.getpid()}
         assert [w.worker for w in executor.worker_stats] == [0, 1, 2]
 
     def test_map_outside_context_manager_rejected(self):
@@ -43,8 +51,16 @@ class TestInline:
 
 
 class TestForked:
+    def test_workers_1_runs_beside_the_caller(self):
+        # One virtual worker is a pool of one: the chunks run in
+        # another process while the caller keeps working.
+        with ParallelExecutor(1, context={"base": 0}) as executor:
+            results = executor.map(_context_chunk, [3, 1, 2])
+        assert [value for value, _pid in results] == [3, 1, 2]
+        assert os.getpid() not in {pid for _value, pid in results}
+
     def test_results_preserve_argument_order(self):
-        results, stats = run_chunked(
+        results, stats = _map(
             _square_chunk, None, list(range(16)), workers=4
         )
         assert results == [i * i for i in range(16)]
@@ -54,7 +70,7 @@ class TestForked:
         # The context holds a lambda — unpicklable, so reaching the
         # workers proves fork inheritance, not argument pickling.
         context = {"base": 100, "unpicklable": lambda: None}
-        results, _ = run_chunked(
+        results, _ = _map(
             _context_chunk, context, [1, 2, 3], workers=2
         )
         values = [value for value, _pid in results]
@@ -62,7 +78,7 @@ class TestForked:
 
     def test_worker_stats_carry_chunk_counters(self):
         chunks = [range(0, 3), range(3, 5)]
-        results, stats = run_chunked(
+        results, stats = _map(
             _counting_chunk, None, chunks, workers=2
         )
         assert results == [3, 7]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.cli import APPLICATIONS
+from repro.pipeline.cache import ResultCache
 from repro.pipeline.fingerprint import (
     combine_fingerprint,
     framework_parts,
@@ -110,32 +111,20 @@ class TestGranularity:
             set(graph.names) - {"grammar"}
         )
 
-    def test_worker_count_is_part_of_worker_dependent_params(self):
-        # Per-worker stats replay would lie if a workers=1 entry could
-        # hit a workers=4 run; the fan-out-only checks are
-        # worker-independent and deliberately keep their entries.
-        framework = APPLICATIONS["courses"]()
-        parts = framework_parts(framework)
-        serial = build_framework_graph(workers=1)
-        fanned = build_framework_graph(workers=4)
-        changed = {
-            check.name
-            for check in serial
-            if combine_fingerprint(
-                check.name, parts, check.inputs, check.params
+    def test_no_fingerprint_depends_on_the_worker_count(self, tmp_path):
+        # Every check computes the same result at any worker count, so
+        # a cache entry stored at one count must be found at another.
+        fingerprints = {}
+        for workers in (1, 4):
+            result = APPLICATIONS["courses"]().verify_pipeline(
+                workers=workers, cache=ResultCache(tmp_path / str(workers))
             )
-            != combine_fingerprint(
-                check.name,
-                parts,
-                fanned[check.name].inputs,
-                fanned[check.name].params,
-            )
-        }
-        assert changed == {
-            "explore",
-            "completeness",
-            "static",
-            "inclusion",
-            "transitions",
-            "second-third",
-        }
+            fingerprints[workers] = {
+                execution.name: execution.fingerprint
+                for execution in result.executions
+            }
+        assert fingerprints[1] == fingerprints[4]
+        assert all(
+            "workers" not in check.params
+            for check in build_framework_graph()
+        )

@@ -8,6 +8,7 @@ stats and counters instead of re-measuring.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -20,6 +21,44 @@ def _verify(app, workers, cache):
     framework = APPLICATIONS[app]()
     return framework.verify(
         workers=workers, collect_stats=True, cache=cache
+    )
+
+
+def _edited_bank_framework():
+    """The bank design with one ``open``/``close_account`` equation's
+    right-hand side edited."""
+    from repro.algebraic.equations import ConditionalEquation
+    from repro.algebraic.spec import AlgebraicSpec
+    from repro.applications import bank as app
+    from repro.core.framework import DesignFramework
+    from repro.rpr.parser import parse_schema
+
+    spec = app.bank_algebraic()
+    victim = spec.equations_for("open", "close_account")[0]
+    edited = ConditionalEquation(
+        victim.lhs,
+        spec.signature.true(),
+        victim.condition,
+        f"{victim.label}-edited",
+    )
+    equations = tuple(
+        edited if equation is victim else equation
+        for equation in spec.equations
+    )
+    algebraic = AlgebraicSpec(spec.signature, equations, name=spec.name)
+    source = app.bank_schema_source()
+    schema = parse_schema(source)
+    return DesignFramework(
+        information=app.bank_information(),
+        algebraic=algebraic,
+        schema=schema,
+        carriers=app.bank_carriers(),
+        schema_source=source,
+        interpretation=app.bank_interpretation(algebraic.signature),
+        representation=app.bank_representation_map(
+            algebraic.signature, schema
+        ),
+        name="edited bank",
     )
 
 
@@ -88,21 +127,18 @@ class TestInvalidation:
         result = APPLICATIONS["courses"]().verify_pipeline(cache=cache)
         assert all(e.status == "hit" for e in result.executions)
 
-    def test_worker_count_change_misses_worker_dependent_nodes(
-        self, tmp_path
-    ):
+    def test_cache_from_workers_4_replays_at_workers_1(self, tmp_path):
         cache = ResultCache(tmp_path)
-        APPLICATIONS["courses"]().verify_pipeline(cache=cache)
-        result = APPLICATIONS["courses"]().verify_pipeline(
-            cache=cache, workers=2
+        cold = _verify("courses", 4, cache)
+        result = APPLICATIONS["courses"]().verify_pipeline(cache=cache)
+        assert all(e.status == "hit" for e in result.executions)
+        warm = _verify("courses", 1, cache)
+        assert str(warm) == str(cold)
+        # Only the bundle's requested worker count differs.
+        assert cold.stats.workers == 4 and warm.stats.workers == 1
+        assert dataclasses.replace(warm.stats, workers=4).to_json() == (
+            cold.stats.to_json()
         )
-        statuses = {e.name: e.status for e in result.executions}
-        assert statuses["congruence"] == "hit"
-        assert statuses["grammar"] == "hit"
-        assert statuses["induction"] == "hit"
-        assert statuses["agreement"] == "hit"
-        assert statuses["completeness"] == "ran"
-        assert statuses["second-third"] == "ran"
 
     def test_corrupted_cache_reruns_and_matches(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -117,11 +153,7 @@ class TestInvalidation:
         the stored edge artifact: only never-seen states are
         re-explored, and the report is byte-identical to an uncached
         run of the edited specification at every worker count."""
-        from repro.algebraic.equations import ConditionalEquation
         from repro.algebraic.exploration import delta_counters
-        from repro.algebraic.spec import AlgebraicSpec
-        from repro.applications import bank as app
-        from repro.core.framework import DesignFramework
 
         cache = ResultCache(tmp_path)
         APPLICATIONS["bank"]().verify(cache=cache)
@@ -131,45 +163,9 @@ class TestInvalidation:
         ]
         assert len(artifacts) == 1
 
-        spec = app.bank_algebraic()
-        victim = spec.equations_for("open", "close_account")[0]
-        edited = ConditionalEquation(
-            victim.lhs,
-            spec.signature.true(),
-            victim.condition,
-            f"{victim.label}-edited",
-        )
-        equations = tuple(
-            edited if equation is victim else equation
-            for equation in spec.equations
-        )
-
-        def framework():
-            from repro.rpr.parser import parse_schema
-
-            algebraic = AlgebraicSpec(
-                spec.signature, equations, name=spec.name
-            )
-            source = app.bank_schema_source()
-            schema = parse_schema(source)
-            return DesignFramework(
-                information=app.bank_information(),
-                algebraic=algebraic,
-                schema=schema,
-                carriers=app.bank_carriers(),
-                schema_source=source,
-                interpretation=app.bank_interpretation(
-                    algebraic.signature
-                ),
-                representation=app.bank_representation_map(
-                    algebraic.signature, schema
-                ),
-                name="edited bank",
-            )
-
-        plain = framework().verify()
+        plain = _edited_bank_framework().verify()
         before = delta_counters()
-        warm_w1 = framework().verify(cache=cache)
+        warm_w1 = _edited_bank_framework().verify(cache=cache)
         after = delta_counters()
         assert after["delta_runs"] == before["delta_runs"] + 1
         reexplored = (
@@ -178,12 +174,27 @@ class TestInvalidation:
         from repro.algebraic.algebra import TraceAlgebra
 
         graph_size = len(
-            TraceAlgebra(framework().algebraic).explore().states
+            TraceAlgebra(_edited_bank_framework().algebraic).explore().states
         )
         assert reexplored / graph_size < 0.2
         assert str(warm_w1) == str(plain)
-        warm_w2 = framework().verify(cache=cache, workers=2)
+        warm_w2 = _edited_bank_framework().verify(cache=cache, workers=2)
         assert str(warm_w2) == str(plain)
+
+    def test_delta_exploration_at_any_worker_count(self, tmp_path):
+        """Explore runs in the calling process at every worker count,
+        so a fanned run stores the edge artifact and the next fanned
+        run after an edit re-uses it."""
+        from repro.algebraic.exploration import delta_counters
+
+        cache = ResultCache(tmp_path)
+        APPLICATIONS["bank"]().verify(cache=cache, workers=2)
+        assert len(list(tmp_path.glob("explore-edges-*.json"))) == 1
+        before = delta_counters()
+        warm = _edited_bank_framework().verify(cache=cache, workers=2)
+        after = delta_counters()
+        assert after["delta_runs"] == before["delta_runs"] + 1
+        assert str(warm) == str(_edited_bank_framework().verify())
 
     def test_failing_checks_are_never_cached(self, tmp_path):
         from repro.algebraic.equations import ConditionalEquation

@@ -8,7 +8,7 @@ from repro.algebraic.description import STATE_VAR
 from repro.applications.bank import bank_signature
 from repro.logic import formulas as fm
 from repro.logic.terms import App, Var
-from repro.runtime.compiler import (
+from repro.algebraic.compiler import (
     UnsupportedTermError,
     compile_ground_term,
     compile_ground_formula,
