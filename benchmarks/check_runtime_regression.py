@@ -13,8 +13,8 @@ Two checks over a pytest-benchmark JSON emission of
    at least ``--min-throughput`` updates per second (throughput is
    ``extra_info.batch / mean``).  The repo-acceptance number is 100k
    guarded updates/s on the bank; CI passes a lower floor to leave
-   headroom for slow shared runners, the committed BENCH_runtime.json
-   documents the reference-machine number.
+   headroom for slow shared runners; ``docs/runtime.md`` records
+   the reference-machine number.
 2. **Relative regression** — every benchmark's mean must stay within
    ``--factor`` of the committed baseline, exactly like the kernel
    gate: what this catches is the runtime losing its O(delta)

@@ -267,8 +267,22 @@ class PackedExplorer:
             raise PackedUnsupported("snapshot keys disagree with cells")
         return tuple(value for _, value in snapshot.entries)
 
-    def _apply(self, instance, row: tuple, get) -> tuple:
-        """Apply one update instance's plan to a value row."""
+    def apply_instance(self, instance, row: tuple, get) -> tuple:
+        """Apply one update instance's compiled plan to a value row.
+
+        Args:
+            instance: an entry of :attr:`instances`.
+            row: the source state's values, in :attr:`cells` order.
+            get: the cell reader over ``row`` the plan's closures call
+                (shared by every instance applied to one row).
+
+        Returns:
+            The target row (``row`` itself when nothing changes).
+
+        Raises:
+            PackedUnsupported: no equation fires for some cell (a
+                sufficient-completeness gap the object path reports).
+        """
         _update, _params, _symbol, _arg_terms, actions = instance
         out = None
         for index, entries in actions:
@@ -359,7 +373,7 @@ class PackedExplorer:
                         continue
                     if get is None:
                         get = dict(zip(cells, row)).__getitem__
-                    targets.append(self._apply(instance, row, get))
+                    targets.append(self.apply_instance(instance, row, get))
                     recomputed_transitions += 1
                 targets = tuple(targets)
             new_edges[row] = targets

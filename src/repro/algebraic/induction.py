@@ -25,7 +25,14 @@ reachable state" — stronger evidence than reachability enumeration,
 because the step is verified on all P-states, including unreachable
 ones (if the step fails only on unreachable states, the invariant is
 simply not inductive and must be strengthened, the classic
-invariant-strengthening situation)."""
+invariant-strengthening situation).
+
+Both halves are statements about distinct abstract states, so the
+proof does their work once per state: P is evaluated once per
+snapshot, and the step applies the compiled update plans of
+:class:`~repro.algebraic.exploration.PackedExplorer` to value rows.
+:func:`abstract_successor` stays the reference step (see
+:func:`prove_invariant` for when it runs)."""
 
 from __future__ import annotations
 
@@ -39,6 +46,8 @@ from repro.algebraic.rewriting import RewriteEngine
 from repro.algebraic.spec import AlgebraicSpec
 from repro.logic.sorts import BOOLEAN, STATE
 from repro.logic.terms import App, Term, Var
+from repro.obs.coverage import COV_STATE as _COV
+from repro.obs.tracer import count as _count
 
 __all__ = [
     "AbstractState",
@@ -227,37 +236,160 @@ def prove_invariant(
     """Prove ``invariant`` for all reachable states by structural
     induction on traces (the Section 4.4b proof rule).
 
+    The invariant must be a *pure* predicate on snapshots: it is
+    evaluated once per distinct snapshot, and that verdict is reused
+    every time the snapshot comes up again, as a P-state or as a step
+    successor.
+
+    Step successors come from the packed explorer's compiled update
+    plans (the programs ``repro serve`` runs), applied to each
+    snapshot's value row.  :func:`abstract_successor`, object
+    rewriting over :class:`AbstractState` terms, remains the
+    reference and computes the step instead when the specification is
+    outside the plan fragment, while coverage is recording (so fire
+    sets come from the rewrite engine), and after a plan fails
+    mid-proof: the whole proof then reruns on it, so a dispatch gap
+    surfaces as the object path's exact ``IncompletenessError``.
+
     Args:
         spec: the algebraic specification (must be structurally
             terminating, so successors are snapshot-determined).
-        invariant: predicate on snapshots.
+        invariant: pure predicate on snapshots.
         max_abstract_states: safety bound on the abstract state space.
 
     Raises:
         SpecificationError: if the abstract space exceeds the bound.
     """
-    algebra = TraceAlgebra(spec)
-    engine = _engine(spec)
-    base_snapshot = algebra.snapshot(algebra.initial_trace())
-    base_ok = bool(invariant(base_snapshot))
+    # Imported here: exploration imports the pipeline package, which
+    # imports this module.
+    from repro.algebraic.exploration import PackedUnsupported
 
+    algebra = TraceAlgebra(spec)
+    updates = list(algebra.update_instances())
+    verdicts: dict[Snapshot, bool] = {}
+
+    def holds(snapshot: Snapshot) -> bool:
+        verdict = verdicts.get(snapshot)
+        if verdict is None:
+            verdict = verdicts[snapshot] = bool(invariant(snapshot))
+        return verdict
+
+    base_ok = holds(algebra.snapshot(algebra.initial_trace()))
+    steps = {"packed": 0, "object": 0}
+    explorer, fallback = _plan_explorer(algebra)
+    report = None
+    if explorer is not None:
+        try:
+            report = _induct(
+                spec,
+                holds,
+                base_ok,
+                updates,
+                _plan_step(explorer, steps),
+                max_abstract_states,
+            )
+        except PackedUnsupported:
+            fallback = "dispatch_gap"
+    if report is None:
+        report = _induct(
+            spec,
+            holds,
+            base_ok,
+            updates,
+            _object_step(spec, updates, steps),
+            max_abstract_states,
+        )
+    _count("induction.invariant_evals", len(verdicts))
+    _count("induction.packed_steps", steps["packed"])
+    _count("induction.object_steps", steps["object"])
+    if fallback is not None:
+        _count(f"induction.fallback.{fallback}")
+    return report
+
+
+def _plan_explorer(algebra: TraceAlgebra):
+    """The packed explorer whose plans compute the step, or ``None``
+    with the reason the proof takes the object step instead."""
+    from repro.algebraic.exploration import (
+        PackedExplorer,
+        PackedUnsupported,
+    )
+
+    if _COV.enabled:
+        return None, "coverage"
+    try:
+        explorer = PackedExplorer(algebra)
+    except PackedUnsupported:
+        return None, "outside_fragment"
+    first = next(all_snapshots(algebra.spec))
+    if tuple(key for key, _ in first.entries) != explorer.cells:
+        return None, "outside_fragment"
+    return explorer, None
+
+
+def _plan_step(explorer, steps: dict[str, int]):
+    """Successors by the explorer's compiled plans, over value rows."""
+    cells = explorer.cells
+    instances = explorer.instances
+    apply_instance = explorer.apply_instance
+
+    def successors(snapshot: Snapshot) -> Iterator[Snapshot]:
+        row = tuple(value for _, value in snapshot.entries)
+        get = dict(snapshot.entries).__getitem__
+        for instance in instances:
+            steps["packed"] += 1
+            target = apply_instance(instance, row, get)
+            if target is row:
+                yield snapshot
+            else:
+                yield Snapshot(tuple(zip(cells, target)))
+
+    return successors
+
+
+def _object_step(
+    spec: AlgebraicSpec,
+    updates: list[tuple[str, tuple[str, ...]]],
+    steps: dict[str, int],
+):
+    """Successors by :func:`abstract_successor`, the reference step."""
+    engine = _engine(spec)
+
+    def successors(snapshot: Snapshot) -> Iterator[Snapshot]:
+        for update, params in updates:
+            steps["object"] += 1
+            yield abstract_successor(
+                spec, snapshot, update, params, engine
+            )
+
+    return successors
+
+
+def _induct(
+    spec: AlgebraicSpec,
+    holds: Callable[[Snapshot], bool],
+    base_ok: bool,
+    updates: list[tuple[str, tuple[str, ...]]],
+    successors: Callable[[Snapshot], Iterator[Snapshot]],
+    max_abstract_states: int,
+) -> InductionReport:
+    """The step of :func:`prove_invariant` over every abstract P-state,
+    with ``successors`` yielding one successor per update instance."""
     counterexamples = []
     examined = 0
-    updates = list(algebra.update_instances())
     for index, snapshot in enumerate(all_snapshots(spec)):
         if index >= max_abstract_states:
             raise SpecificationError(
                 "abstract state space exceeds max_abstract_states; "
                 "shrink the domains"
             )
-        if not invariant(snapshot):
+        if not holds(snapshot):
             continue
         examined += 1
-        for update, params in updates:
-            successor = abstract_successor(
-                spec, snapshot, update, params, engine
-            )
-            if not invariant(successor):
+        for (update, params), successor in zip(
+            updates, successors(snapshot)
+        ):
+            if not holds(successor):
                 counterexamples.append(
                     (snapshot, update, params, successor)
                 )

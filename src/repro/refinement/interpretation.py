@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import RefinementError
+from repro.errors import RefinementError, SignatureError
 from repro.algebraic.algebra import TraceAlgebra
 from repro.algebraic.signature import AlgebraicSignature
 from repro.information.spec import InformationSpec
@@ -105,7 +105,7 @@ class Interpretation:
         for predicate in information.db_predicates:
             try:
                 query = signature.query(predicate.name)
-            except Exception as exc:
+            except SignatureError as exc:
                 raise RefinementError(
                     f"no query named {predicate.name!r} for the homonym "
                     "interpretation"

@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Hashable, Mapping
 
-from repro.errors import ExecutionError, RefinementError
+from repro.errors import ExecutionError, RefinementError, SignatureError
 from repro.algebraic.algebra import TraceAlgebra
 from repro.algebraic.equations import ConditionalEquation
 from repro.algebraic.signature import AlgebraicSignature
@@ -35,7 +35,7 @@ from repro.algebraic.spec import AlgebraicSpec
 from repro.logic import formulas as fm
 from repro.logic.sorts import BOOLEAN, STATE, Sort
 from repro.logic.terms import App, Term, Var
-from repro.obs.tracer import span as _span
+from repro.obs.tracer import count as _count, span as _span
 from repro.parallel.stats import (
     StatsSink,
     VerificationStats,
@@ -237,12 +237,19 @@ class RepresentationMap:
             ) from None
 
 
+#: Memo-miss marker (cached query values include ``False``).
+_MISSING = object()
+
+
 class InducedStructure:
     """The mapping N: the finitely generated L2 structure a schema
     universe induces (paper, Section 5.3).
 
     States of sort ``state`` are database states; queries are evaluated
-    by their K-images; updates act by running their procedures.
+    by their K-images; updates act by running their procedures.  Both
+    are memoized per ``(name, params, state)`` for the lifetime of the
+    instance (one check), so each procedure runs once per state and
+    update instance however many equation instances ask for it.
 
     Args:
         signature: the L2 language.
@@ -277,6 +284,16 @@ class InducedStructure:
                         "multivalued"
                     )
         self._trace_cache: dict[Term, DatabaseState] = {}
+        #: Results of successful procedure runs and query
+        #: realizations, keyed by ``(name, params, state)``, which
+        #: determines them.  Errors are never stored, so a blocking or
+        #: nondeterministic procedure, or a non-functional
+        #: realization, raises on every call.
+        self._step_memo: dict[tuple, DatabaseState] = {}
+        self._query_memo: dict[tuple, Hashable] = {}
+        #: ``run_proc`` calls made, and step calls the memo answered.
+        self.proc_runs = 0
+        self.proc_memo_hits = 0
 
     @property
     def domains(self) -> dict[Sort, tuple[str, ...]]:
@@ -301,6 +318,12 @@ class InducedStructure:
     def _step(
         self, proc: str, params: tuple[str, ...], state: DatabaseState
     ) -> DatabaseState:
+        key = (proc, params, state)
+        cached = self._step_memo.get(key)
+        if cached is not None:
+            self.proc_memo_hits += 1
+            return cached
+        self.proc_runs += 1
         results = run_proc(
             self.schema, proc, params, state, self._domains
         )
@@ -314,7 +337,8 @@ class InducedStructure:
                 f"procedure {proc}({', '.join(params)}) is "
                 f"nondeterministic ({len(results)} successors)"
             )
-        return next(iter(results))
+        successor = self._step_memo[key] = next(iter(results))
+        return successor
 
     def state_of_trace(self, trace: Term) -> DatabaseState:
         """Realize a ground L2 trace as a database state (memoized)."""
@@ -397,6 +421,21 @@ class InducedStructure:
             RefinementError: if a functional realization has zero or
                 several satisfying result values at the state.
         """
+        key = (query, params, state)
+        cached = self._query_memo.get(key, _MISSING)
+        if cached is not _MISSING:
+            return cached
+        value = self._query_memo[key] = self._realize(
+            query, params, state
+        )
+        return value
+
+    def _realize(
+        self,
+        query: str,
+        params: tuple[str, ...],
+        state: DatabaseState,
+    ) -> Hashable:
         realization = self.rep_map.realization(query)
         valuation = {
             var: value
@@ -524,7 +563,7 @@ class InducedStructure:
             var = condition.var
             try:
                 carrier = self.signature.domain(var.sort)
-            except Exception:
+            except SignatureError:
                 raise RefinementError(
                     f"condition quantifies over non-parameter sort "
                     f"{var.sort}"
@@ -706,6 +745,8 @@ def check_refinement(
         report = SecondToThirdReport(
             not failures, len(states), instances, tuple(failures)
         )
+    _count("second_third.proc_runs", induced.proc_runs)
+    _count("second_third.proc_memo_hits", induced.proc_memo_hits)
     if stats is not None:
         record = WorkerStats(
             worker=0,

@@ -3,17 +3,38 @@ Section 4.4b proof rule, mechanized."""
 
 import pytest
 
-from repro.errors import SpecificationError
+from repro import obs
+from repro.cli import APPLICATIONS
+from repro.errors import IncompletenessError, SpecificationError
 from repro.algebraic.algebra import Snapshot, TraceAlgebra
+from repro.algebraic.description import (
+    StructuredDescription,
+    initial_equations,
+    synthesize_equations,
+)
+from repro.algebraic.exploration import PackedExplorer, PackedUnsupported
 from repro.algebraic.induction import (
     AbstractState,
+    InductionReport,
     abstract_successor,
     all_snapshots,
     make_abstract_engine,
     prove_invariant,
 )
+from repro.algebraic.spec import AlgebraicSpec
 from repro.applications.bank import bank_algebraic
-from repro.applications.courses import courses_algebraic
+from repro.applications.courses import (
+    courses_algebraic,
+    courses_descriptions,
+    courses_information,
+    courses_information_carriers,
+    courses_signature,
+)
+from repro.obs.coverage import activate_coverage
+from repro.refinement.first_second import prove_static_consistency
+from repro.refinement.interpretation import Interpretation
+from tests.algebraic.test_packed_explorer import _incomplete_spec
+from tests.applications.test_mutations import MUTANTS
 
 
 @pytest.fixture(scope="module")
@@ -117,58 +138,230 @@ class TestProveInvariant:
 
 class TestProveStaticConsistency:
     def test_courses(self):
-        from repro.applications.courses import (
-            courses_information,
-            courses_information_carriers,
-        )
-        from repro.refinement.first_second import (
-            prove_static_consistency,
-        )
-
-        report = prove_static_consistency(
-            courses_information(),
-            courses_information_carriers(),
-            courses_algebraic(),
-        )
+        report = _prove_courses_static(courses_algebraic())
         assert report.ok
         assert report.states_examined == 25
 
     def test_faulty_cancel_caught_inductively(self):
-        from repro.applications.courses import (
-            courses_descriptions,
-            courses_information,
-            courses_information_carriers,
-            courses_signature,
-        )
-        from repro.algebraic.description import (
-            StructuredDescription,
-            initial_equations,
-            synthesize_equations,
-        )
-        from repro.algebraic.spec import AlgebraicSpec
-        from repro.refinement.first_second import (
-            prove_static_consistency,
-        )
-
-        signature = courses_signature()
-        descriptions = []
-        for description in courses_descriptions(signature):
-            if description.update == "cancel":
-                description = StructuredDescription(
-                    update="cancel",
-                    params=description.params,
-                    precondition=None,
-                    effects=description.effects,
-                )
-            descriptions.append(description)
-        equations = initial_equations(signature) + synthesize_equations(
-            signature, descriptions
-        )
-        spec = AlgebraicSpec(signature, tuple(equations))
-        report = prove_static_consistency(
-            courses_information(),
-            courses_information_carriers(),
-            spec,
-        )
+        report = _prove_courses_static(_faulty_cancel_spec())
         assert not report.ok
         assert report.counterexamples
+
+
+def _faulty_cancel_spec() -> AlgebraicSpec:
+    """The courses spec with cancel's precondition removed."""
+    signature = courses_signature()
+    descriptions = []
+    for description in courses_descriptions(signature):
+        if description.update == "cancel":
+            description = StructuredDescription(
+                update="cancel",
+                params=description.params,
+                precondition=None,
+                effects=description.effects,
+            )
+        descriptions.append(description)
+    equations = initial_equations(signature) + synthesize_equations(
+        signature, descriptions
+    )
+    return AlgebraicSpec(signature, tuple(equations))
+
+
+def _prove_courses_static(spec) -> InductionReport:
+    return prove_static_consistency(
+        courses_information(), courses_information_carriers(), spec
+    )
+
+
+def _prove_app_static(name: str) -> InductionReport:
+    framework = APPLICATIONS[name]()
+    return prove_static_consistency(
+        framework.information,
+        framework.carriers,
+        framework.algebraic,
+        framework.interpretation,
+    )
+
+
+def _force_object_step(monkeypatch) -> None:
+    """Make every proof take the object step, as for a specification
+    outside the plan fragment."""
+
+    def outside(self, algebra):
+        raise PackedUnsupported("forced onto the object step")
+
+    monkeypatch.setattr(PackedExplorer, "__init__", outside)
+
+
+def _object_step_report(monkeypatch, prove) -> InductionReport:
+    with monkeypatch.context() as patch:
+        _force_object_step(patch)
+        return prove()
+
+
+def _assert_same_report(plan, reference) -> None:
+    assert plan.ok == reference.ok
+    assert plan.base_ok == reference.base_ok
+    assert plan.step_ok == reference.step_ok
+    assert plan.states_examined == reference.states_examined
+    assert plan.counterexamples == reference.counterexamples
+    assert str(plan) == str(reference)
+
+
+def _traced(prove):
+    """Run ``prove`` under a fresh tracer; return its result and the
+    counter totals it recorded."""
+    tracer = obs.Tracer()
+    with obs.activate(tracer):
+        result = prove()
+    return result, tracer.counter_totals()
+
+
+class TestPlanStepMatchesObjectStep:
+    """The compiled-plan step and the rewriting step prove the same
+    thing, counterexamples included."""
+
+    @pytest.mark.parametrize("app", ["courses", "library", "bank"])
+    def test_applications(self, app, monkeypatch):
+        plan = _prove_app_static(app)
+        reference = _object_step_report(
+            monkeypatch, lambda: _prove_app_static(app)
+        )
+        _assert_same_report(plan, reference)
+        assert plan.ok
+
+    @pytest.mark.slow
+    def test_projects(self, monkeypatch):
+        plan = _prove_app_static("projects")
+        reference = _object_step_report(
+            monkeypatch, lambda: _prove_app_static("projects")
+        )
+        _assert_same_report(plan, reference)
+        assert plan.ok
+
+    def test_faulty_cancel(self, monkeypatch):
+        spec = _faulty_cancel_spec()
+        plan = _prove_courses_static(spec)
+        reference = _object_step_report(
+            monkeypatch, lambda: _prove_courses_static(spec)
+        )
+        _assert_same_report(plan, reference)
+        assert plan.counterexamples
+
+    def test_false_invariant(self, spec, monkeypatch):
+        def invariant(snapshot):
+            return ("c1",) not in snapshot.relation("offered")
+
+        plan = prove_invariant(spec, invariant)
+        reference = _object_step_report(
+            monkeypatch, lambda: prove_invariant(spec, invariant)
+        )
+        _assert_same_report(plan, reference)
+        assert plan.counterexamples
+
+    @pytest.mark.parametrize(
+        "label,mutant", MUTANTS, ids=[label for label, _ in MUTANTS]
+    )
+    def test_mutants(self, label, mutant, monkeypatch):
+        plan = _prove_courses_static(mutant)
+        reference = _object_step_report(
+            monkeypatch, lambda: _prove_courses_static(mutant)
+        )
+        _assert_same_report(plan, reference)
+
+
+class TestOncePerState:
+    def test_invariant_once_per_snapshot_courses(self, spec):
+        seen = []
+
+        def invariant(snapshot):
+            seen.append(snapshot)
+            return _static_ok(snapshot)
+
+        report, counters = _traced(lambda: prove_invariant(spec, invariant))
+        assert report.ok
+        assert len(seen) == len(set(seen)) == 64
+        assert counters["induction.invariant_evals"] == 64
+        # 25 P-states times 16 update instances.
+        assert counters["induction.packed_steps"] == 400
+        assert counters["induction.object_steps"] == 0
+        assert not any("fallback" in name for name in counters)
+
+    def test_invariant_once_per_snapshot_projects(self, monkeypatch):
+        seen = []
+        original = Interpretation.structure_of_snapshot
+
+        def counting(self, information, carriers, spec, snapshot):
+            seen.append(snapshot)
+            return original(self, information, carriers, spec, snapshot)
+
+        monkeypatch.setattr(
+            Interpretation, "structure_of_snapshot", counting
+        )
+        report, counters = _traced(lambda: _prove_app_static("projects"))
+        assert report.ok
+        assert len(seen) == len(set(seen)) == 512
+        assert counters["induction.invariant_evals"] == 512
+        assert counters["induction.packed_steps"] == 3300
+        assert counters["induction.object_steps"] == 0
+
+
+class TestObjectStepFallback:
+    def test_outside_fragment(self, spec, monkeypatch):
+        _force_object_step(monkeypatch)
+        report, counters = _traced(lambda: prove_invariant(spec, _static_ok))
+        assert report.ok
+        assert counters["induction.fallback.outside_fragment"] == 1
+        assert counters["induction.object_steps"] == 400
+        assert counters["induction.packed_steps"] == 0
+
+    def test_dispatch_gap_gives_the_object_step_error(self, monkeypatch):
+        spec = _incomplete_spec()
+        # The plans compile; the gap only shows when a step runs.
+        PackedExplorer(TraceAlgebra(spec))
+        with pytest.raises(IncompletenessError) as plan:
+            prove_invariant(spec, lambda snapshot: True)
+        _force_object_step(monkeypatch)
+        with pytest.raises(IncompletenessError) as reference:
+            prove_invariant(spec, lambda snapshot: True)
+        assert str(plan.value) == str(reference.value)
+        assert "q(c2, touch(c1, " in str(plan.value)
+
+    def test_gap_mid_proof_reruns_on_object_step(self, spec, monkeypatch):
+        original = PackedExplorer.apply_instance
+        calls = []
+
+        def gap_on_fifth(self, instance, row, get):
+            calls.append(instance)
+            if len(calls) == 5:
+                raise PackedUnsupported("no equation fires")
+            return original(self, instance, row, get)
+
+        monkeypatch.setattr(PackedExplorer, "apply_instance", gap_on_fifth)
+        report, counters = _traced(lambda: prove_invariant(spec, _static_ok))
+        monkeypatch.undo()
+        _assert_same_report(report, prove_invariant(spec, _static_ok))
+        assert counters["induction.fallback.dispatch_gap"] == 1
+        assert counters["induction.packed_steps"] == 5
+        assert counters["induction.object_steps"] == 400
+        assert counters["induction.invariant_evals"] == 64
+
+    def test_plan_step_bug_propagates(self, spec, monkeypatch):
+        def broken(self, *args):
+            raise RuntimeError("plan step bug")
+
+        monkeypatch.setattr(PackedExplorer, "apply_instance", broken)
+        with pytest.raises(RuntimeError, match="plan step bug"):
+            prove_invariant(spec, _static_ok)
+
+    def test_coverage_takes_object_step(self, spec):
+        with activate_coverage() as recorder:
+            report, counters = _traced(
+                lambda: prove_invariant(spec, _static_ok)
+            )
+        _assert_same_report(report, prove_invariant(spec, _static_ok))
+        assert counters["induction.fallback.coverage"] == 1
+        assert counters["induction.object_steps"] == 400
+        assert counters["induction.packed_steps"] == 0
+        # The step's dispatch came from the rewrite engine.
+        assert recorder.dispatch

@@ -6,18 +6,32 @@ negating its right-hand side, and the 2nd->3rd refinement check must
 refute *every* mutant against the (correct) RPR schema — i.e. the
 check's equation coverage has no blind spots at the granularity of
 whole equations.
+
+The same mutants pin the per-state memos of the Section 5.4 sweep and
+of check (d): on every mutant, the memoized report equals one computed
+by running every procedure, and checking every edge, afresh.
 """
 
 import pytest
 
+from repro.algebraic.algebra import TraceAlgebra
 from repro.algebraic.spec import AlgebraicSpec
 from repro.algebraic.equations import ConditionalEquation
 from repro.applications.courses import (
     courses_algebraic,
+    courses_information,
+    courses_information_carriers,
     courses_schema_source,
 )
-from repro.refinement.second_third import check_refinement
+from repro.information.consistency import check_transition
+from repro.refinement.first_second import (
+    TransitionConsistencyReport,
+    check_transition_consistency,
+)
+from repro.refinement.interpretation import Interpretation
+from repro.refinement.second_third import InducedStructure, check_refinement
 from repro.rpr.parser import parse_schema
+from repro.rpr.semantics import run_proc
 
 
 @pytest.fixture(scope="module")
@@ -61,3 +75,83 @@ def test_every_rhs_negation_is_refuted(label, mutant, schema):
 def test_unmutated_baseline_passes(schema):
     report = check_refinement(courses_algebraic(), schema)
     assert report.ok
+
+
+def _fresh_step(self, proc, params, state):
+    """``InducedStructure._step`` without the memo (the mutants run
+    the correct, deterministic schema, so every step has one
+    successor)."""
+    (successor,) = run_proc(
+        self.schema, proc, params, state, self._domains
+    )
+    return successor
+
+
+def _fresh_query(self, query, params, state):
+    """``InducedStructure.eval_query`` without the memo."""
+    return self._realize(query, params, state)
+
+
+@pytest.mark.parametrize(
+    "label,mutant", MUTANTS, ids=[label for label, _ in MUTANTS]
+)
+def test_second_third_memo_matches_fresh_runs(
+    label, mutant, schema, monkeypatch
+):
+    report = check_refinement(mutant, schema)
+    with monkeypatch.context() as patch:
+        patch.setattr(InducedStructure, "_step", _fresh_step)
+        patch.setattr(InducedStructure, "eval_query", _fresh_query)
+        reference = check_refinement(mutant, schema)
+    assert str(report) == str(reference)
+    assert report == reference
+
+
+def _fresh_transition_report(
+    information, carriers, algebra, interpretation, graph
+):
+    """Check (d) with ``check_transition`` run afresh on every edge."""
+
+    def structure(trace):
+        return interpretation.structure_of_trace(
+            information, carriers, algebra, trace
+        )
+
+    violations = []
+    for transition in graph.transitions:
+        source = graph.states[transition.source]
+        target = graph.states.get(transition.target)
+        if target is None:
+            target = algebra.apply(
+                transition.update, *transition.params, trace=source
+            )
+        report = check_transition(
+            information, structure(source), structure(target)
+        )
+        violations.extend(
+            (transition, str(axiom)) for axiom, _ in report.violations
+        )
+    return TransitionConsistencyReport(
+        ok=not violations,
+        transitions_checked=len(graph.transitions),
+        violations=tuple(violations),
+    )
+
+
+@pytest.mark.parametrize(
+    "label,mutant", MUTANTS, ids=[label for label, _ in MUTANTS]
+)
+def test_transition_memo_matches_fresh_checks(label, mutant):
+    information = courses_information()
+    carriers = courses_information_carriers()
+    algebra = TraceAlgebra(mutant)
+    interpretation = Interpretation.homonym(information, algebra.signature)
+    graph = algebra.explore()
+    report = check_transition_consistency(
+        information, carriers, algebra, interpretation, graph
+    )
+    reference = _fresh_transition_report(
+        information, carriers, algebra, interpretation, graph
+    )
+    assert str(report) == str(reference)
+    assert report == reference

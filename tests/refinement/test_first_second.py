@@ -17,6 +17,7 @@ from repro.applications.courses import (
     courses_information_carriers,
     courses_signature,
 )
+from repro.refinement import first_second
 from repro.refinement.first_second import (
     check_refinement,
     check_static_consistency,
@@ -153,3 +154,35 @@ class TestTransitionConsistencyDirect:
         )
         assert report.ok
         assert report.transitions_checked == 400
+
+
+class TestTransitionPairMemo:
+    def test_one_check_per_endpoint_pair(
+        self, info, carriers, monkeypatch
+    ):
+        from repro import obs
+        from repro.applications.courses import courses_algebraic
+        from repro.refinement.interpretation import Interpretation
+
+        pairs = []
+        original = first_second._edge_violations
+
+        def counting(*args):
+            transition = args[-1]
+            pairs.append((transition.source, transition.target))
+            return original(*args)
+
+        monkeypatch.setattr(first_second, "_edge_violations", counting)
+        algebra = TraceAlgebra(courses_algebraic())
+        interpretation = Interpretation.homonym(info, algebra.signature)
+        tracer = obs.Tracer()
+        with obs.activate(tracer):
+            report = check_transition_consistency(
+                info, carriers, algebra, interpretation
+            )
+        counters = tracer.counter_totals()
+        assert report.ok
+        assert report.transitions_checked == 400
+        assert len(pairs) == len(set(pairs)) == 101
+        assert counters["transitions.edges"] == 400
+        assert counters["transitions.edge_checks"] == 101

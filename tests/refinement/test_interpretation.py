@@ -47,8 +47,24 @@ class TestHomonym:
         from repro.algebraic.signature import AlgebraicSignature
 
         bare = AlgebraicSignature()
-        with pytest.raises(RefinementError):
+        with pytest.raises(
+            RefinementError,
+            match="no query named 'offered' for the homonym "
+            "interpretation",
+        ):
             Interpretation.homonym(courses_info, bare)
+
+    def test_query_lookup_bug_propagates(self, courses_info, monkeypatch):
+        from repro.applications.courses import courses_algebraic
+
+        signature = courses_algebraic().signature
+
+        def broken(name):
+            raise RuntimeError("query lookup bug")
+
+        monkeypatch.setattr(signature, "query", broken)
+        with pytest.raises(RuntimeError, match="query lookup bug"):
+            Interpretation.homonym(courses_info, signature)
 
     def test_uncovered_predicate_lookup_raises(
         self, courses_info, courses_spec

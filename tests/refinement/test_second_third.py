@@ -3,13 +3,19 @@ faulty schema that must be caught."""
 
 import pytest
 
-from repro.errors import RefinementError
+from repro import obs
+from repro.errors import ExecutionError, RefinementError
 from repro.applications.courses import (
     courses_algebraic,
     courses_schema_source,
 )
+from repro.logic import formulas as fm
+from repro.logic.sorts import Sort
+from repro.logic.terms import Var
+from repro.refinement import second_third
 from repro.refinement.second_third import (
     InducedStructure,
+    QueryRealization,
     RepresentationMap,
     check_agreement,
     check_refinement,
@@ -36,6 +42,33 @@ NONDETERMINISTIC = courses_schema_source().replace(
     "proc offer(c) =\n    insert OFFERED(c)",
     "proc offer(c) =\n    (insert OFFERED(c) | skip)",
 )
+
+BLOCKING_OFFER = courses_schema_source().replace(
+    "proc offer(c) =\n    insert OFFERED(c)",
+    "proc offer(c) =\n    OFFERED(c)?",
+)
+
+
+def _induced(spec, schema) -> InducedStructure:
+    return InducedStructure(
+        spec.signature,
+        schema,
+        RepresentationMap.homonym(spec.signature, schema),
+    )
+
+
+def _counting_run_proc(monkeypatch) -> list:
+    """Record the ``(proc, args, state)`` of every ``run_proc`` call
+    the induced structure makes."""
+    runs = []
+    original = second_third.run_proc
+
+    def counting(schema, name, args, state, domains):
+        runs.append((name, args, state))
+        return original(schema, name, args, state, domains)
+
+    monkeypatch.setattr(second_third, "run_proc", counting)
+    return runs
 
 
 class TestRepresentationMap:
@@ -117,6 +150,81 @@ class TestInducedStructure:
                 bad,
                 RepresentationMap.homonym(spec.signature, bad),
             )
+
+
+class TestInducedStructureMemo:
+    def test_each_proc_instance_runs_once(
+        self, spec, schema, monkeypatch
+    ):
+        runs = _counting_run_proc(monkeypatch)
+        tracer = obs.Tracer()
+        with obs.activate(tracer):
+            report = check_refinement(spec, schema)
+        counters = tracer.counter_totals()
+        assert report.ok
+        # The initial procedure, then 16 update instances on each of
+        # the 25 reachable states.
+        assert len(runs) == len(set(runs)) == 1 + 25 * 16
+        assert counters["second_third.proc_runs"] == len(runs)
+        assert counters["second_third.proc_memo_hits"] > len(runs)
+
+    def test_memo_lasts_one_instance(self, spec, schema, monkeypatch):
+        runs = _counting_run_proc(monkeypatch)
+        for _ in range(2):
+            _induced(spec, schema).initial()
+        assert len(runs) == 2
+
+    def test_blocking_procedure_raises_every_time(
+        self, spec, monkeypatch
+    ):
+        induced = _induced(spec, parse_schema(BLOCKING_OFFER))
+        state = induced.initial()
+        runs = _counting_run_proc(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(ExecutionError, match="blocks"):
+                induced.apply_update("offer", ("c1",), state)
+        assert len(runs) == 2
+
+    def test_non_functional_realization_raises_every_time(
+        self, spec, schema
+    ):
+        rep_map = RepresentationMap.homonym(spec.signature, schema)
+        offered = rep_map.realization("offered")
+        # An unconstrained result variable: never exactly one value.
+        rep_map.query_map["offered"] = QueryRealization(
+            offered.variables,
+            offered.formula,
+            Var("m", offered.variables[0].sort),
+        )
+        induced = InducedStructure(spec.signature, schema, rep_map)
+        state = induced.initial()
+        for _ in range(2):
+            with pytest.raises(RefinementError, match="not functional"):
+                induced.eval_query("offered", ("c1",), state)
+
+
+class TestQuantifierDomains:
+    def test_unknown_sort_is_a_refinement_error(self, spec, schema):
+        induced = _induced(spec, schema)
+        condition = fm.Forall(Var("g", Sort("ghost")), fm.TrueF())
+        with pytest.raises(
+            RefinementError,
+            match="condition quantifies over non-parameter sort ghost",
+        ):
+            induced.holds(condition, {})
+
+    def test_domain_bug_propagates(self, schema, monkeypatch):
+        spec = courses_algebraic()
+        induced = _induced(spec, schema)
+
+        def broken(sort):
+            raise RuntimeError("domain lookup bug")
+
+        monkeypatch.setattr(spec.signature, "domain", broken)
+        course = spec.signature.logic.sort("course")
+        condition = fm.Forall(Var("c", course), fm.TrueF())
+        with pytest.raises(RuntimeError, match="domain lookup bug"):
+            induced.holds(condition, {})
 
 
 class TestRefinementCheck:
