@@ -27,7 +27,7 @@ from weakref import WeakValueDictionary
 from repro.errors import ReproError, SpecificationError
 from repro.algebraic.rewriting import RewriteEngine, Value
 from repro.algebraic.spec import AlgebraicSpec
-from repro.obs.tracer import OBS_STATE as _OBS, span as _span
+from repro.obs.tracer import OBS_STATE as _OBS, count as _count, span as _span
 from repro.logic.terms import App, Term
 from repro.parallel.stats import (
     StatsSink,
@@ -462,35 +462,40 @@ class TraceAlgebra:
         edge_cache: dict | None,
     ) -> tuple[StateGraph, int] | None:
         """Try the packed value-row explorer; ``None`` falls back to
-        the object BFS (outside the packed fragment, coverage
-        recording active, or a spec error the object path reports
-        with its exact message)."""
+        the object BFS, counted as ``explore.fallback.<reason>``:
+        ``disabled`` (``packed=False``), ``coverage`` (recording
+        active), ``outside_fragment``, ``unsupported_midrun`` (a plan
+        gap during the run) or ``spec_error`` (a specification error
+        the object path reports with its exact message)."""
         from repro.obs.coverage import COV_STATE as _COV_STATE
         from repro.algebraic.exploration import (
             PackedExplorer,
             PackedUnsupported,
         )
 
-        if not self.packed or _COV_STATE.enabled:
-            return None
+        if not self.packed:
+            return _object_path("disabled")
+        if _COV_STATE.enabled:
+            return _object_path("coverage")
         explorer = self._packed_explorer
-        if explorer is False:
-            return None
         if explorer is None:
             try:
                 explorer = PackedExplorer(self)
             except PackedUnsupported:
-                self._packed_explorer = False
-                return None
+                explorer = False
             self._packed_explorer = explorer
+        if explorer is False:
+            return _object_path("outside_fragment")
         try:
             return explorer.explore(max_states, max_depth, edge_cache)
-        except (PackedUnsupported, ReproError):
+        except PackedUnsupported:
+            return _object_path("unsupported_midrun")
+        except ReproError:
             # The object path re-raises the underlying specification
             # error (incompleteness, non-termination, ...) with the
             # exact term-level message.  Anything else is a bug in the
             # packed explorer and propagates.
-            return None
+            return _object_path("spec_error")
 
     def _explore_serial(
         self, max_states: int, max_depth: int | None
@@ -526,3 +531,8 @@ class TraceAlgebra:
                     )
         graph = StateGraph(initial_snapshot, states, transitions, truncated)
         return graph, items
+
+
+def _object_path(reason: str) -> None:
+    """Count why exploration falls back to the object BFS."""
+    _count(f"explore.fallback.{reason}")

@@ -26,6 +26,9 @@ absence of circularity".  This module implements both halves:
   every ground instance over the parameter domains at least one
   equation's condition must hold — checked exhaustively on all traces
   up to a depth bound (the empirical counterpart of case exhaustion).
+  Each trace's cells are evaluated in one batch on the engine's term
+  arena; a trace with a gap is redone cell by cell, the reference
+  loop, which words the gaps.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ from repro.algebraic.algebra import TraceAlgebra
 from repro.algebraic.equations import ConditionalEquation
 from repro.algebraic.spec import AlgebraicSpec
 from repro.logic.terms import App, Term, Var
-from repro.obs.tracer import span as _span
+from repro.obs.coverage import COV_STATE as _COV
+from repro.obs.tracer import count as _count, span as _span
 from repro.parallel.stats import (
     StatsSink,
     VerificationStats,
@@ -260,19 +264,37 @@ def check_coverage(
     on all traces up to the depth bound, recording terms on which no
     equation's condition held (dynamic gap).
 
+    A trace's observations are evaluated in one
+    :meth:`~repro.algebraic.rewriting.RewriteEngine.evaluate_cells`
+    batch.  The reference loop, one query per cell, redoes a trace
+    whose batch raised, and runs every trace while coverage records.
+
     Args:
         stats: optional sink receiving one ``"coverage"`` record.
     """
     started = time.perf_counter()
     missing = _missing_constructors(spec)
     algebra = TraceAlgebra(spec)
+    observations = algebra.observations
     before = engine_counters(algebra.engine)
+    # While coverage records, fire sets come from the reference loop.
+    batch = not _COV.enabled
+    if not batch:
+        _count("completeness.fallback.coverage")
     items = 0
     uncovered: list[str] = []
     traces_checked = 0
     for trace in itertools.islice(algebra.traces(depth), max_traces):
         traces_checked += 1
-        for name, params in algebra.observations:
+        if batch:
+            try:
+                algebra.engine.evaluate_cells(trace, observations)
+            except ReproError:
+                _count("completeness.cell_fallbacks")
+            else:
+                items += len(observations)
+                continue
+        for name, params in observations:
             items += 1
             try:
                 algebra.query(name, *params, trace=trace)

@@ -196,11 +196,19 @@ class Structure:
         return hash(self._key())
 
     def __repr__(self) -> str:
+        # Rows print sorted, so the text does not depend on hash order.
         rels = ", ".join(
-            f"{name}={set(ext) or '{}'}"
+            f"{name}={{{', '.join(map(repr, _sorted_rows(ext)))}}}"
             for name, ext in sorted(self._relations.items())
         )
         return f"Structure({rels})"
+
+
+def _sorted_rows(extension: frozenset[tuple]) -> list[tuple]:
+    try:
+        return sorted(extension)
+    except TypeError:  # rows mixing incomparable value types
+        return sorted(extension, key=repr)
 
 
 def make_function_table(

@@ -17,6 +17,14 @@ the paper describes via the induced structure mapping M — plus the
 syntactic extension of I to wffs (Section 4.3), which maps modal
 formulas of L1 into first-order formulas of L2 extended with the
 reachability predicate F.
+
+(b), (d) and the induction invariant compile once per check
+(:mod:`repro.refinement.compiled`): M(snapshot) from the ground
+instances of I, and each constraint over its extensions.  Realizing
+each state as a level-1 :class:`~repro.logic.structures.Structure` and
+deciding the generic satisfaction relation stays the reference path,
+taken while coverage records and when the constraints fall outside the
+compilable fragment.
 """
 
 from __future__ import annotations
@@ -45,13 +53,20 @@ from repro.logic.signature import PredicateSymbol
 from repro.logic.sorts import STATE, Sort
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Term, Var
-from repro.obs.tracer import span as _span
+from repro.obs.tracer import count as _count, span as _span
 from repro.parallel.stats import (
     StatsSink,
     VerificationStats,
     WorkerStats,
     counter_delta,
     engine_counters,
+)
+from repro.refinement.compiled import (
+    StructureMap,
+    compile_or_fallback,
+    compile_static,
+    compile_transition,
+    violated,
 )
 from repro.refinement.interpretation import Interpretation
 from repro.refinement.reachability import (
@@ -77,6 +92,23 @@ __all__ = [
 #: adding a predicate symbol F of sort <state, state>, which will stand
 #: for the reachability relation R").
 REACHABILITY_PREDICATE = PredicateSymbol("F", (STATE, STATE))
+
+
+def _compile_states(
+    information: InformationSpec,
+    carriers: dict[Sort, list[str]],
+    algebra: TraceAlgebra,
+    interpretation: Interpretation,
+    compile_constraints,
+):
+    """``(structure map, constraints)`` of one check, or ``None`` and
+    the reason the check takes its reference path instead."""
+    return compile_or_fallback(
+        lambda: (
+            StructureMap(information, carriers, algebra, interpretation),
+            compile_constraints(information, carriers),
+        )
+    )
 
 
 # ---------------------------------------------------------------------
@@ -122,28 +154,43 @@ def check_static_consistency(
     """Check G ⊆ V: every reachable state satisfies every static
     constraint (Section 4.4b).
 
+    Each state's M(snapshot) is checked by the compiled constraints;
+    the reference path realizes the witness trace as a structure and
+    decides the generic satisfaction relation.
+
     Args:
         stats: optional sink receiving one ``"static"`` record.
     """
     started = time.perf_counter()
     if graph is None:
         graph = algebra.explore(stats=stats)
-    traces = list(graph.states.values())
     violations: list[tuple[Term, str]] = []
     with _span("static") as obs_span:
         before = engine_counters(algebra.engine)
-        for trace in traces:
-            structure = interpretation.structure_of_trace(
-                information, carriers, algebra, trace
-            )
-            report = check_state(information, structure)
-            for axiom, _ in report.violations:
-                violations.append((trace, str(axiom)))
+        compiled, fallback = _compile_states(
+            information, carriers, algebra, interpretation, compile_static
+        )
+        for snapshot, trace in graph.states.items():
+            if compiled is not None:
+                structure_map, constraints = compiled
+                axioms = violated(
+                    constraints, (structure_map.extensions(snapshot),)
+                )
+            else:
+                structure = interpretation.structure_of_trace(
+                    information, carriers, algebra, trace
+                )
+                report = check_state(information, structure)
+                axioms = [str(axiom) for axiom, _ in report.violations]
+            for axiom in axioms:
+                violations.append((trace, axiom))
         delta = counter_delta(
-            before, engine_counters(algebra.engine), len(traces)
+            before, engine_counters(algebra.engine), len(graph.states)
         )
         obs_span.record(delta)
         obs_span.count("static.violations", len(violations))
+        if fallback is not None:
+            obs_span.count(f"static.fallback.{fallback}")
     if stats is not None:
         record = WorkerStats(
             worker=0, wall_time=time.perf_counter() - started, **delta
@@ -180,7 +227,10 @@ def prove_static_consistency(
     The invariant is "the state satisfies every static constraint";
     the step is checked over *every abstract state* satisfying it —
     exactly the closure of V — via
-    :func:`repro.algebraic.induction.prove_invariant`.
+    :func:`repro.algebraic.induction.prove_invariant`.  The invariant
+    decides the compiled constraints on M(snapshot); the reference
+    realizes the snapshot as a structure under I and decides the
+    generic satisfaction relation.
 
     Returns:
         An :class:`~repro.algebraic.induction.InductionReport`; if it
@@ -193,15 +243,29 @@ def prove_static_consistency(
         interpretation = Interpretation.homonym(
             information, spec.signature
         )
+    compiled, fallback = _compile_states(
+        information, carriers, TraceAlgebra(spec), interpretation,
+        compile_static,
+    )
 
-    def invariant(snapshot) -> bool:
-        structure = interpretation.structure_of_snapshot(
-            information, carriers, spec, snapshot
-        )
-        return all(
-            satisfies(structure, axiom)
-            for axiom in information.static_constraints
-        )
+    if compiled is not None:
+        structure_map, constraints = compiled
+
+        def invariant(snapshot) -> bool:
+            state = (structure_map.extensions(snapshot),)
+            return all(holds(state) for _, holds in constraints)
+
+    else:
+        _count(f"induction.invariant_fallback.{fallback}")
+
+        def invariant(snapshot) -> bool:
+            structure = interpretation.structure_of_snapshot(
+                information, carriers, spec, snapshot
+            )
+            return all(
+                satisfies(structure, axiom)
+                for axiom in information.static_constraints
+            )
 
     return prove_invariant(
         spec, invariant, max_abstract_states=max_abstract_states
@@ -249,9 +313,22 @@ class TransitionConsistencyReport:
 
 def _edge_violations(
     information, carriers, algebra, interpretation, graph, structures,
-    transition,
+    compiled, transition,
 ) -> list[str]:
-    """Violated-axiom strings of one update edge."""
+    """Violated-axiom strings of one update edge.
+
+    ``structures`` maps each state to its level-1 state: extensions on
+    the compiled path, a structure on the reference path.
+    """
+    if compiled is not None:
+        structure_map, constraints = compiled
+        after = structures.get(transition.target)
+        if after is None:
+            # An out-of-horizon target is a snapshot like any other.
+            after = structure_map.extensions(transition.target)
+        return violated(
+            constraints, (structures[transition.source], after)
+        )
     before = structures[transition.source]
     after = structures.get(transition.target)
     if after is None:
@@ -281,7 +358,10 @@ def check_transition_consistency(
     acceptable transition of the information-level theory.
 
     Every edge is counted and reported, but the transition constraints
-    are evaluated once per distinct (source, target) pair of states.
+    are evaluated once per distinct (source, target) pair of states,
+    by the compiled constraints on the two states' M(snapshot); the
+    reference path realizes every state as a structure and decides the
+    constraints in the two-state universe.
 
     Args:
         stats: optional sink receiving one ``"transitions"`` record.
@@ -291,9 +371,17 @@ def check_transition_consistency(
         graph = algebra.explore(stats=stats)
     with _span("transitions") as obs_span:
         counters_before = engine_counters(algebra.engine)
+        compiled, fallback = _compile_states(
+            information, carriers, algebra, interpretation, compile_transition
+        )
+        # Every state is realized once, up front.
         structures = {
-            snapshot: interpretation.structure_of_trace(
-                information, carriers, algebra, trace
+            snapshot: (
+                compiled[0].extensions(snapshot)
+                if compiled is not None
+                else interpretation.structure_of_trace(
+                    information, carriers, algebra, trace
+                )
             )
             for snapshot, trace in graph.states.items()
         }
@@ -318,6 +406,7 @@ def check_transition_consistency(
                         interpretation,
                         graph,
                         structures,
+                        compiled,
                         transition,
                     )
                 for axiom in axioms:
@@ -331,6 +420,8 @@ def check_transition_consistency(
         obs_span.count("transitions.edges", len(graph.transitions))
         obs_span.count("transitions.edge_checks", len(verdicts))
         obs_span.count("transitions.violations", len(violations))
+        if fallback is not None:
+            obs_span.count(f"transitions.fallback.{fallback}")
     if stats is not None:
         record = WorkerStats(
             worker=0, wall_time=time.perf_counter() - started, **delta

@@ -15,6 +15,14 @@ Section 4.4 proves, for the running example, both ``G ⊆ V`` (every
 reachable state is valid) and ``V ⊆ G`` (every valid state is
 reachable); :func:`compare_valid_reachable` decides both inclusions
 and reports witnesses for any failure.
+
+The comparison compiles both sides once per check
+(:mod:`repro.refinement.compiled`): each static constraint becomes a
+closure over a candidate's extensions (V), and each ground instance of
+I(p) a closure over snapshot cells (G, the structure M(snapshot)
+without rewriting the witness trace).  The generic satisfaction
+relation and :meth:`Interpretation.structure_of_trace` stay the
+reference paths.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.algebraic.algebra import StateGraph, TraceAlgebra
+from repro.algebraic.compiler import UnsupportedTermError
 from repro.information.consistency import is_consistent_state
 from repro.information.spec import InformationSpec
 from repro.logic.sorts import Sort
@@ -37,6 +46,11 @@ from repro.parallel.stats import (
     WorkerStats,
     counter_delta,
     engine_counters,
+)
+from repro.refinement.compiled import (
+    StructureMap,
+    compile_or_fallback,
+    compile_static,
 )
 from repro.refinement.interpretation import Interpretation
 
@@ -116,15 +130,38 @@ def reachable_structures(
             omitted.
         stats: optional sink receiving one ``"reachable"`` record.
     """
+    return _reachable(
+        information, carriers, algebra, interpretation, graph, stats
+    )[0]
+
+
+def _reachable(
+    information: InformationSpec,
+    carriers: dict[Sort, list[str]],
+    algebra: TraceAlgebra,
+    interpretation: Interpretation,
+    graph: StateGraph | None,
+    stats: StatsSink | None,
+) -> tuple[dict[Structure, Term], str | None]:
+    """:func:`reachable_structures`, with the reason the compiled
+    structure map was not used (``None`` when it was)."""
     started = time.perf_counter()
     if graph is None:
         graph = algebra.explore(stats=stats)
     before = engine_counters(algebra.engine)
+    structure_map, fallback = compile_or_fallback(
+        lambda: StructureMap(information, carriers, algebra, interpretation)
+    )
     out: dict[Structure, Term] = {}
-    for trace in graph.states.values():
-        structure = interpretation.structure_of_trace(
-            information, carriers, algebra, trace
-        )
+    for snapshot, trace in graph.states.items():
+        if structure_map is not None:
+            structure = _structure_from_extensions(
+                information, carriers, structure_map.extensions(snapshot)
+            )
+        else:
+            structure = interpretation.structure_of_trace(
+                information, carriers, algebra, trace
+            )
         out.setdefault(structure, trace)
     if stats is not None:
         record = WorkerStats(
@@ -139,7 +176,7 @@ def reachable_structures(
                 "reachable", 1, [record], time.perf_counter() - started
             )
         )
-    return out
+    return out, fallback
 
 
 def synthesize_trace(
@@ -226,10 +263,26 @@ def _valid_structure_list(
     information: InformationSpec,
     carriers: dict[Sort, list[str]],
     stats: StatsSink | None,
-) -> list[Structure]:
-    """The set V in enumeration order."""
+) -> tuple[list[Structure], str | None]:
+    """The set V in enumeration order, with the reason the compiled
+    constraints were not used (``None`` when they were)."""
     started = time.perf_counter()
-    structures = list(enumerate_valid_structures(information, carriers))
+    try:
+        constraints = compile_static(information, carriers)
+    except UnsupportedTermError:
+        fallback = "outside_fragment"
+        structures = list(
+            enumerate_valid_structures(information, carriers)
+        )
+    else:
+        fallback = None
+        structures = [
+            _structure_from_extensions(information, carriers, extensions)
+            for extensions in itertools.product(
+                *_subset_spaces(information, carriers)
+            )
+            if all(holds((extensions,)) for _, holds in constraints)
+        ]
     if stats is not None:
         total = 1
         for space in _subset_spaces(information, carriers):
@@ -245,7 +298,7 @@ def _valid_structure_list(
                 time.perf_counter() - started,
             )
         )
-    return structures
+    return structures, fallback
 
 
 def compare_valid_reachable(
@@ -258,6 +311,8 @@ def compare_valid_reachable(
 ) -> InclusionReport:
     """Decide both inclusions of Sections 4.4b and 4.4c exhaustively.
 
+    Witnesses of V ⊄ G are listed in enumeration order.
+
     Args:
         stats: optional sink receiving one record per phase.
     """
@@ -265,25 +320,30 @@ def compare_valid_reachable(
         graph = algebra.explore(stats=stats)
     with _span("inclusion") as obs_span:
         with _span("inclusion.reachable"):
-            reachable = reachable_structures(
+            reachable, reachable_fallback = _reachable(
                 information,
                 carriers,
                 algebra,
                 interpretation,
                 graph,
-                stats=stats,
+                stats,
             )
         with _span("inclusion.valid-enumeration"):
-            valid = set(
-                _valid_structure_list(information, carriers, stats)
+            valid, valid_fallback = _valid_structure_list(
+                information, carriers, stats
             )
+        valid_set = set(valid)
         obs_span.count("inclusion.reachable_states", len(reachable))
-        obs_span.count("inclusion.valid_states", len(valid))
+        obs_span.count("inclusion.valid_states", len(valid_set))
+        for reason in sorted(
+            {reachable_fallback, valid_fallback} - {None}
+        ):
+            obs_span.count(f"inclusion.fallback.{reason}")
 
         invalid_reachable = tuple(
             (structure, trace)
             for structure, trace in reachable.items()
-            if structure not in valid
+            if structure not in valid_set
         )
         unreachable_valid = tuple(
             structure
@@ -293,7 +353,7 @@ def compare_valid_reachable(
         return InclusionReport(
             reachable_subset_valid=not invalid_reachable,
             valid_subset_reachable=not unreachable_valid,
-            valid_count=len(valid),
+            valid_count=len(valid_set),
             reachable_count=len(reachable),
             invalid_reachable=invalid_reachable,
             unreachable_valid=unreachable_valid,

@@ -17,6 +17,12 @@ validity of A2 in N(U) is decided by checking each equation at every
 *reachable database state* (with the equation's state variable valued
 at that state) for every parameter instantiation — the same coverage
 as the paper's induction, without enumerating syntactic traces.
+
+Each equation's condition and sides are compiled once per check into
+closures (:meth:`InducedStructure.compile_term` and
+:meth:`InducedStructure.compile_condition`); the interpreters
+:meth:`InducedStructure.eval_term` and :meth:`InducedStructure.holds`
+are their reference semantics.
 """
 
 from __future__ import annotations
@@ -25,9 +31,15 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping
+from operator import itemgetter
+from typing import Callable, Hashable, Iterator, Mapping
 
-from repro.errors import ExecutionError, RefinementError, SignatureError
+from repro.errors import (
+    ExecutionError,
+    RefinementError,
+    ReproError,
+    SignatureError,
+)
 from repro.algebraic.algebra import TraceAlgebra
 from repro.algebraic.equations import ConditionalEquation
 from repro.algebraic.signature import AlgebraicSignature
@@ -35,6 +47,7 @@ from repro.algebraic.spec import AlgebraicSpec
 from repro.logic import formulas as fm
 from repro.logic.sorts import BOOLEAN, STATE, Sort
 from repro.logic.terms import App, Term, Var
+from repro.obs.coverage import COV_STATE as _COV
 from repro.obs.tracer import count as _count, span as _span
 from repro.parallel.stats import (
     StatsSink,
@@ -239,6 +252,21 @@ class RepresentationMap:
 
 #: Memo-miss marker (cached query values include ``False``).
 _MISSING = object()
+
+#: A compiled term or condition: a closure over a positional
+#: environment (a list holding the equation's parameters, its state
+#: and one slot per quantifier).
+Compiled = Callable[[list], Hashable]
+
+
+def _failing(message: str) -> Compiled:
+    """A closure raising ``RefinementError(message)`` when it is
+    reached: the interpreter's error, deferred from compile time."""
+
+    def fail(env: list):
+        raise RefinementError(message)
+
+    return fail
 
 
 class InducedStructure:
@@ -579,6 +607,147 @@ class InducedStructure:
             f"unsupported condition construct {condition!r}"
         )
 
+    # ------------------------------------------------------------------
+    # the same, compiled once into closures
+    # ------------------------------------------------------------------
+    def compile_term(self, term: Term, scope: Mapping[Var, int]) -> Compiled:
+        """:meth:`eval_term` of ``term`` as a closure over a positional
+        environment; ``scope`` maps each bound variable to its index.
+
+        The closure evaluates exactly as the interpreter does: the same
+        argument order, every argument of a connective, the same
+        memoized procedure runs and query realizations.  A term the
+        interpreter rejects compiles to a closure raising the same
+        error when it is reached.
+        """
+        if isinstance(term, Var):
+            if term not in scope:
+                return _failing(f"unbound variable {term.name}")
+            return itemgetter(scope[term])
+        if not isinstance(term, App):
+            return _failing(f"unsupported term {term!r}")
+        symbol = term.symbol
+        sig = self.signature
+        if symbol.name == "True" and symbol.result_sort == BOOLEAN:
+            return lambda env: True
+        if symbol.name == "False" and symbol.result_sort == BOOLEAN:
+            return lambda env: False
+        args = [self.compile_term(arg, scope) for arg in term.args]
+        if sig.is_connective(symbol):
+            return _compile_connective(symbol.name, args)
+        if sig.is_equality_test(symbol):
+            lhs, rhs = args
+            return lambda env: lhs(env) == rhs(env)
+        interp = sig.interpretation(symbol.name)
+        if interp is not None:
+            return lambda env: interp(*[arg(env) for arg in args])
+        if sig.is_initial(symbol):
+            return lambda env: self.initial()
+        name = symbol.name
+        if sig.is_update(symbol) or sig.is_query(symbol):
+            realize = (
+                self.apply_update if sig.is_update(symbol) else self.eval_query
+            )
+            return _compile_application(realize, name, args)
+        if symbol.is_constant:
+            return lambda env: name  # a parameter name
+        return _failing(f"cannot evaluate {term} in N(U)")
+
+    def compile_condition(
+        self,
+        condition: fm.Formula,
+        scope: Mapping[Var, int],
+        slots: Iterator[int],
+    ) -> Compiled:
+        """:meth:`holds` of ``condition`` as a closure over a positional
+        environment (see :meth:`compile_term`).
+
+        Connectives short-circuit as in :meth:`holds`.  Each quantifier
+        takes a fresh environment slot from ``slots`` for its variable,
+        which shadows any outer binding inside its body; its domain is
+        resolved on every evaluation, as :meth:`holds` resolves it.
+        """
+        if isinstance(condition, fm.TrueF):
+            return lambda env: True
+        if isinstance(condition, fm.FalseF):
+            return lambda env: False
+        if isinstance(condition, fm.Equals):
+            lhs = self.compile_term(condition.lhs, scope)
+            rhs = self.compile_term(condition.rhs, scope)
+            return lambda env: lhs(env) == rhs(env)
+        if isinstance(condition, fm.Not):
+            body = self.compile_condition(condition.body, scope, slots)
+            return lambda env: not body(env)
+        if isinstance(condition, (fm.And, fm.Or, fm.Implies, fm.Iff)):
+            lhs = self.compile_condition(condition.lhs, scope, slots)
+            rhs = self.compile_condition(condition.rhs, scope, slots)
+            if isinstance(condition, fm.And):
+                return lambda env: lhs(env) and rhs(env)
+            if isinstance(condition, fm.Or):
+                return lambda env: lhs(env) or rhs(env)
+            if isinstance(condition, fm.Implies):
+                return lambda env: (not lhs(env)) or rhs(env)
+            return lambda env: lhs(env) == rhs(env)
+        if isinstance(condition, (fm.Forall, fm.Exists)):
+            return self._compile_quantifier(condition, scope, slots)
+        return _failing(f"unsupported condition construct {condition!r}")
+
+    def _compile_quantifier(self, condition, scope, slots) -> Compiled:
+        var = condition.var
+        slot = next(slots)
+        body = self.compile_condition(
+            condition.body, {**scope, var: slot}, slots
+        )
+        junction = all if isinstance(condition, fm.Forall) else any
+        signature = self.signature
+
+        def quantified(env: list) -> bool:
+            try:
+                carrier = signature.domain(var.sort)
+            except SignatureError:
+                raise RefinementError(
+                    f"condition quantifies over non-parameter sort "
+                    f"{var.sort}"
+                ) from None
+
+            def results():
+                for value in carrier:
+                    env[slot] = value
+                    yield body(env)
+
+            return junction(results())
+
+        return quantified
+
+
+def _compile_application(realize, name: str, args: list[Compiled]):
+    """An update or query application: the state argument first, then
+    each parameter as its ``str`` (see
+    :meth:`InducedStructure.eval_term`)."""
+    *params, state = args
+
+    def apply(env: list) -> Hashable:
+        at = state(env)
+        return realize(name, tuple([str(param(env)) for param in params]), at)
+
+    return apply
+
+
+def _compile_connective(name: str, args: list[Compiled]) -> Compiled:
+    """A connective *term*: every argument is evaluated, in order, then
+    combined (see :meth:`InducedStructure.eval_term`)."""
+    if name == "not":
+        (only,) = args
+        return lambda env: not bool(only(env))
+    lhs, rhs = args
+    if name == "and":
+        return lambda env: bool(lhs(env)) & bool(rhs(env))
+    if name == "or":
+        return lambda env: bool(lhs(env)) | bool(rhs(env))
+    if name == "implies":
+        return lambda env: (not bool(lhs(env))) | bool(rhs(env))
+    return lambda env: bool(lhs(env)) == bool(rhs(env))
+
 
 @dataclass(frozen=True)
 class EquationFailure:
@@ -661,6 +830,28 @@ def _equation_frame(spec: AlgebraicSpec, equation: ConditionalEquation):
     return state_vars, param_vars, spaces
 
 
+def _compile_equation(
+    induced: InducedStructure,
+    equation: ConditionalEquation,
+    param_vars: list[Var],
+    state_vars: list[Var],
+) -> tuple[Compiled | None, Compiled, Compiled, int]:
+    """An equation's condition (``None`` when it has none), lhs and rhs
+    compiled over the environment ``[*params, *state, *slots]``, and the
+    number of quantifier slots the condition needs."""
+    frame = [*param_vars, *state_vars]
+    scope = {var: index for index, var in enumerate(frame)}
+    slots = itertools.count(len(frame))
+    condition = None
+    if equation.condition is not None:
+        condition = induced.compile_condition(
+            equation.condition, scope, slots
+        )
+    lhs = induced.compile_term(equation.lhs, scope)
+    rhs = induced.compile_term(equation.rhs, scope)
+    return condition, lhs, rhs, next(slots) - len(frame)
+
+
 def check_refinement(
     spec: AlgebraicSpec,
     schema: Schema,
@@ -673,7 +864,8 @@ def check_refinement(
     Every conditional equation of A2 is checked at every reachable
     database state (the value of the equation's state variable), for
     every instantiation of its parameter variables over the declared
-    domains; both sides are evaluated in the induced structure N(U).
+    domains; both sides are evaluated in the induced structure N(U),
+    by closures compiled once per equation.
 
     Args:
         stats: optional sink receiving one ``"second-third"`` record.
@@ -693,27 +885,20 @@ def check_refinement(
         state_vars, param_vars, spaces = _equation_frame(
             spec, equation
         )
+        condition, lhs, rhs, width = _compile_equation(
+            induced, equation, param_vars, state_vars
+        )
         for state in states:
+            # The environment: parameters, then the state (when the
+            # equation has one), then the quantifier slots.
+            tail = [state] * len(state_vars) + [None] * width
             for values in itertools.product(*spaces):
-                valuation: dict[Var, Hashable] = dict(
-                    zip(param_vars, values)
-                )
-                if state_vars:
-                    valuation[state_vars[0]] = state
-                if (
-                    equation.condition is not None
-                    and not induced.holds(
-                        equation.condition, valuation
-                    )
-                ):
+                env = [*values, *tail]
+                if condition is not None and not condition(env):
                     continue
                 instances += 1
-                lhs_value = induced.eval_term(
-                    equation.lhs, valuation
-                )
-                rhs_value = induced.eval_term(
-                    equation.rhs, valuation
-                )
+                lhs_value = lhs(env)
+                rhs_value = rhs(env)
                 if lhs_value != rhs_value:
                     failures.append(
                         EquationFailure(
@@ -777,19 +962,43 @@ def check_agreement(
 
     A complementary, more direct check than equation validity: it
     compares the two levels' answers to every query.
+
+    A trace's level-2 observations are evaluated in one
+    :meth:`~repro.algebraic.rewriting.RewriteEngine.evaluate_cells`
+    batch on the engine's term arena.  The reference, one
+    :meth:`TraceAlgebra.query` per cell, redoes a trace whose batch
+    raised, and runs every trace while coverage records or when the
+    algebra is not ``packed``.
     """
     if rep_map is None:
         rep_map = RepresentationMap.homonym(algebra.signature, schema)
     induced = InducedStructure(algebra.signature, schema, rep_map)
+    observations = algebra.observations
+    fallback = (
+        "disabled"
+        if not algebra.packed
+        else "coverage" if _COV.enabled else None
+    )
+    if fallback is not None:
+        _count(f"agreement.fallback.{fallback}")
     failures: list[EquationFailure] = []
     instances = 0
     states = 0
     for trace in itertools.islice(algebra.traces(depth), max_traces):
         states += 1
         db_state = induced.state_of_trace(trace)
-        for name, params in algebra.observations:
+        values = None
+        if fallback is None:
+            try:
+                values = algebra.engine.evaluate_cells(trace, observations)
+            except ReproError:
+                _count("agreement.cell_fallbacks")
+        for index, (name, params) in enumerate(observations):
             instances += 1
-            algebraic_value = algebra.query(name, *params, trace=trace)
+            if values is not None:
+                algebraic_value = values[index]
+            else:
+                algebraic_value = algebra.query(name, *params, trace=trace)
             realized_value = induced.eval_query(name, params, db_state)
             if algebraic_value != realized_value:
                 signature = algebra.signature

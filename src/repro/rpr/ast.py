@@ -415,6 +415,34 @@ class Schema:
         proc_names = [p.name for p in self.procs]
         if len(set(proc_names)) != len(proc_names):
             raise SpecificationError("duplicate proc declaration")
+        # Not a field: the memo of :meth:`expansion`, keyed by
+        # statement identity (each entry keeps its statement alive, so
+        # an id is never recycled).  Copies and unpickled schemas start
+        # with an empty one.
+        object.__setattr__(self, "_expansions", {})
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_expansions"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        object.__setattr__(self, "_expansions", {})
+
+    def expansion(self, statement: Statement) -> Statement:
+        """``desugar(statement, self)``, computed once per statement.
+
+        The RPR interpreter expands a derived statement each time it
+        reaches one; this memo makes that once per schema.  An
+        expansion that raises (an ``insert`` of the wrong arity, say)
+        is not stored, so it raises again whenever it is reached.
+        """
+        entry = self._expansions.get(id(statement))
+        if entry is None:
+            entry = (statement, desugar(statement, self))
+            self._expansions[id(statement)] = entry
+        return entry[1]
 
     def relation(self, name: str) -> RelationDecl:
         """Look up a relation declaration by name."""

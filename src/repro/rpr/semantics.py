@@ -58,7 +58,6 @@ from repro.rpr.ast import (
     Union,
     ValueLiteral,
     While,
-    desugar,
 )
 
 __all__ = [
@@ -310,9 +309,10 @@ def run(
 ) -> frozenset[DatabaseState]:
     """The image of ``state`` under m(statement).
 
-    Derived constructs are interpreted by their defining expansions;
-    iteration is the least fixpoint, which exists and is reached in
-    finitely many steps because the universe is finite.
+    Derived constructs are interpreted by their defining expansions
+    (:meth:`Schema.expansion`, desugared once per schema); iteration
+    is the least fixpoint, which exists and is reached in finitely many
+    steps because the universe is finite.
     """
     valuation = dict(valuation or {})
     return _run(statement, state, schema, domains, valuation)
@@ -374,7 +374,7 @@ def _run(
         statement, (IfThen, IfThenElse, While, Insert, Delete)
     ):
         return _run(
-            desugar(statement, schema), state, schema, domains, valuation
+            schema.expansion(statement), state, schema, domains, valuation
         )
     raise TypeError(f"not a statement: {statement!r}")
 

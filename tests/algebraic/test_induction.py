@@ -31,6 +31,7 @@ from repro.applications.courses import (
     courses_signature,
 )
 from repro.obs.coverage import activate_coverage
+from repro.refinement.compiled import StructureMap
 from repro.refinement.first_second import prove_static_consistency
 from repro.refinement.interpretation import Interpretation
 from tests.algebraic.test_packed_explorer import _incomplete_spec
@@ -288,6 +289,27 @@ class TestOncePerState:
         assert not any("fallback" in name for name in counters)
 
     def test_invariant_once_per_snapshot_projects(self, monkeypatch):
+        # The invariant reads M(snapshot) through the compiled map.
+        seen = []
+        original = StructureMap.extensions
+
+        def counting(self, snapshot):
+            seen.append(snapshot)
+            return original(self, snapshot)
+
+        monkeypatch.setattr(StructureMap, "extensions", counting)
+        report, counters = _traced(lambda: _prove_app_static("projects"))
+        assert report.ok
+        assert len(seen) == len(set(seen)) == 512
+        assert counters["induction.invariant_evals"] == 512
+        assert counters["induction.packed_steps"] == 3300
+        assert counters["induction.object_steps"] == 0
+        assert not any("fallback" in name for name in counters)
+
+    def test_invariant_once_per_snapshot_projects_coverage(
+        self, monkeypatch
+    ):
+        # Under coverage the invariant takes the reference path.
         seen = []
         original = Interpretation.structure_of_snapshot
 
@@ -298,12 +320,14 @@ class TestOncePerState:
         monkeypatch.setattr(
             Interpretation, "structure_of_snapshot", counting
         )
-        report, counters = _traced(lambda: _prove_app_static("projects"))
+        with activate_coverage():
+            report, counters = _traced(
+                lambda: _prove_app_static("projects")
+            )
         assert report.ok
         assert len(seen) == len(set(seen)) == 512
         assert counters["induction.invariant_evals"] == 512
-        assert counters["induction.packed_steps"] == 3300
-        assert counters["induction.object_steps"] == 0
+        assert counters["induction.invariant_fallback.coverage"] == 1
 
 
 class TestObjectStepFallback:

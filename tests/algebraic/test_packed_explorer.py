@@ -209,3 +209,76 @@ class TestPackedFallback:
         assert graph == TraceAlgebra(
             courses_algebraic(), packed=False
         ).explore()
+
+
+class TestFallbackCounters:
+    """Each reason the object BFS runs instead is counted once, as
+    ``explore.fallback.<reason>``; the packed path counts none."""
+
+    @staticmethod
+    def _explore_counters(algebra):
+        from repro import obs
+
+        tracer = obs.Tracer()
+        with obs.activate(tracer):
+            try:
+                algebra.explore()
+            except IncompletenessError:
+                pass
+        return {
+            name: value
+            for name, value in tracer.counter_totals().items()
+            if name.startswith("explore.fallback.")
+        }
+
+    def test_packed_counts_nothing(self):
+        assert self._explore_counters(TraceAlgebra(courses_algebraic())) == {}
+
+    def test_disabled(self):
+        algebra = TraceAlgebra(courses_algebraic(), packed=False)
+        assert self._explore_counters(algebra) == {
+            "explore.fallback.disabled": 1
+        }
+
+    def test_coverage(self):
+        from repro.obs.coverage import activate_coverage
+
+        with activate_coverage():
+            counters = self._explore_counters(
+                TraceAlgebra(courses_algebraic())
+            )
+        assert counters == {"explore.fallback.coverage": 1}
+
+    def test_outside_fragment(self, monkeypatch):
+        def outside(self, algebra):
+            raise PackedUnsupported("outside the packed fragment")
+
+        monkeypatch.setattr(PackedExplorer, "__init__", outside)
+        algebra = TraceAlgebra(courses_algebraic())
+        for _ in range(2):  # the verdict is remembered, and recounted
+            assert self._explore_counters(algebra) == {
+                "explore.fallback.outside_fragment": 1
+            }
+
+    def test_unsupported_midrun(self, monkeypatch):
+        def unsupported(self, *args):
+            raise PackedUnsupported("a plan gap")
+
+        monkeypatch.setattr(PackedExplorer, "explore", unsupported)
+        assert self._explore_counters(TraceAlgebra(courses_algebraic())) == {
+            "explore.fallback.unsupported_midrun": 1
+        }
+
+    def test_dispatch_gap_is_unsupported_midrun(self):
+        assert self._explore_counters(TraceAlgebra(_incomplete_spec())) == {
+            "explore.fallback.unsupported_midrun": 1
+        }
+
+    def test_spec_error(self, monkeypatch):
+        def incomplete(self, *args):
+            raise IncompletenessError("packed-side message")
+
+        monkeypatch.setattr(PackedExplorer, "explore", incomplete)
+        assert self._explore_counters(TraceAlgebra(_incomplete_spec())) == {
+            "explore.fallback.spec_error": 1
+        }

@@ -117,3 +117,19 @@ class TestUpdatesAndEquality:
         a = Structure(signature, CARRIERS)
         b = Structure(signature, {STUDENT: ["s1"], COURSE: ["c1"]})
         assert a != b
+
+
+class TestRepr:
+    def test_rows_print_sorted(self, signature):
+        rows = [("s2", "c2"), ("s1", "c2"), ("s2", "c1"), ("s1", "c1")]
+        structure = Structure(signature, CARRIERS, relations={"takes": rows})
+        assert repr(structure) == (
+            "Structure(offered={}, takes={('s1', 'c1'), ('s1', 'c2'), "
+            "('s2', 'c1'), ('s2', 'c2')})"
+        )
+
+    def test_incomparable_values_still_print(self, signature):
+        structure = Structure(
+            signature, CARRIERS, relations={"offered": [(1,), ("c1",)]}
+        )
+        assert repr(structure) == "Structure(offered={('c1',), (1,)}, takes={})"

@@ -157,3 +157,64 @@ class TestComparison:
         assert report.truncated
         assert not report.valid_subset_reachable
         assert report.unreachable_valid
+
+
+#: Prints the failing inclusion report of a courses graph truncated at
+#: five states (both witness lists are non-empty there).
+_TRUNCATED_REPORT = """
+from repro.algebraic.algebra import TraceAlgebra
+from repro.applications.courses import (
+    courses_algebraic, courses_information, courses_information_carriers,
+)
+from repro.refinement.interpretation import Interpretation
+from repro.refinement.reachability import compare_valid_reachable
+
+info = courses_information()
+algebra = TraceAlgebra(courses_algebraic())
+print(compare_valid_reachable(
+    info,
+    courses_information_carriers(),
+    algebra,
+    Interpretation.homonym(info, algebra.signature),
+    algebra.explore(max_states=5),
+))
+"""
+
+
+class TestReportTextIsHashSeedFree:
+    def test_failing_report_under_two_seeds(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        texts = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            texts.append(
+                subprocess.run(
+                    [sys.executable, "-c", _TRUNCATED_REPORT],
+                    env=env,
+                    capture_output=True,
+                    text=True,
+                    check=True,
+                ).stdout
+            )
+        assert "valid but unreachable" in texts[0]
+        assert texts[0] == texts[1]
+
+    def test_unreachable_valid_in_enumeration_order(
+        self, courses_info, courses_carriers, courses_algebra, interpretation
+    ):
+        report = compare_valid_reachable(
+            courses_info,
+            courses_carriers,
+            courses_algebra,
+            interpretation,
+            courses_algebra.explore(max_states=5),
+        )
+        order = list(enumerate_valid_structures(courses_info, courses_carriers))
+        positions = [order.index(s) for s in report.unreachable_valid]
+        assert positions == sorted(positions)

@@ -260,3 +260,208 @@ class TestRefinementCheck:
             TraceAlgebra(spec), bad, depth=3, max_traces=6_000
         )
         assert not report.ok
+
+
+# ---------------------------------------------------------------------
+# the compiled equation closures mirror eval_term / holds
+# ---------------------------------------------------------------------
+def _outcome(evaluate):
+    """A value, or the type and message of the error raised."""
+    try:
+        return ("value", evaluate())
+    except Exception as exc:  # compared, never swallowed
+        return ("raised", type(exc), str(exc))
+
+
+def _compiled_outcome(closure, env):
+    return _outcome(lambda: closure(list(env)))
+
+
+class TestClosuresMatchInterpreter:
+    @pytest.mark.parametrize(
+        "app", ["courses", "library", "projects", "bank"]
+    )
+    def test_every_equation_state_and_instantiation(self, app):
+        import itertools
+
+        from repro.cli import APPLICATIONS
+
+        framework = APPLICATIONS[app]()
+        spec = framework.algebraic
+        rep_map = framework.representation or RepresentationMap.homonym(
+            spec.signature, framework.schema
+        )
+        induced = InducedStructure(
+            spec.signature, framework.schema, rep_map
+        )
+        states = induced.reachable_states()
+        compared = 0
+        for equation in spec.equations:
+            state_vars, param_vars, spaces = second_third._equation_frame(
+                spec, equation
+            )
+            condition, lhs, rhs, width = second_third._compile_equation(
+                induced, equation, param_vars, state_vars
+            )
+            for state in states:
+                for values in itertools.product(*spaces):
+                    valuation = dict(zip(param_vars, values))
+                    if state_vars:
+                        valuation[state_vars[0]] = state
+                    env = [*values, *[state] * len(state_vars)]
+                    env += [None] * width
+                    if condition is not None:
+                        assert _compiled_outcome(condition, env) == (
+                            _outcome(
+                                lambda: induced.holds(
+                                    equation.condition, valuation
+                                )
+                            )
+                        )
+                    for side, term in ((lhs, equation.lhs),
+                                       (rhs, equation.rhs)):
+                        assert _compiled_outcome(side, env) == _outcome(
+                            lambda: induced.eval_term(term, valuation)
+                        )
+                    compared += 1
+        assert compared > len(spec.equations)
+
+
+class TestClosureSemantics:
+    """Corner cases of the compiled closures, each against the
+    interpreter."""
+
+    def _condition(self, induced, condition, scope=None, env=None):
+        from itertools import count
+
+        scope = dict(scope or {})
+        closure = induced.compile_condition(
+            condition, scope, count(len(scope))
+        )
+        return _compiled_outcome(
+            closure, (env or []) + [None] * 8
+        ), _outcome(
+            lambda: induced.holds(
+                condition, dict(zip(scope, env or []))
+            )
+        )
+
+    def test_unknown_sort_raises_when_reached(self, spec, schema):
+        induced = _induced(spec, schema)
+        condition = fm.Forall(Var("g", Sort("ghost")), fm.TrueF())
+        compiled, reference = self._condition(induced, condition)
+        assert compiled == reference
+        assert compiled[1] is RefinementError
+        assert "non-parameter sort ghost" in compiled[2]
+
+    def test_domain_bug_propagates(self, schema, monkeypatch):
+        spec = courses_algebraic()
+        induced = _induced(spec, schema)
+        course = spec.signature.logic.sort("course")
+        condition = fm.Forall(Var("c", course), fm.TrueF())
+        closure = induced.compile_condition(
+            condition, {}, iter(range(1))
+        )
+
+        def broken(sort):
+            raise RuntimeError("domain lookup bug")
+
+        monkeypatch.setattr(spec.signature, "domain", broken)
+        with pytest.raises(RuntimeError, match="domain lookup bug"):
+            closure([None])
+        with pytest.raises(RuntimeError, match="domain lookup bug"):
+            induced.holds(condition, {})
+
+    def test_unsupported_constructs_raise_when_reached(self, spec, schema):
+        from repro.logic.signature import PredicateSymbol
+
+        induced = _induced(spec, schema)
+        course = spec.signature.logic.sort("course")
+        c = Var("c", course)
+        atom = fm.Atom(PredicateSymbol("ghost", (course,)), (c,))
+        for condition in (atom, fm.Equals(Var("unbound", course), c)):
+            # Compiling succeeds; evaluating raises the interpreter's
+            # error.
+            compiled, reference = self._condition(
+                induced, condition, {c: 0}, ["c1"]
+            )
+            assert compiled == reference
+            assert compiled[1] is RefinementError
+        # Never reached: a short-circuited branch does not raise.
+        guarded = fm.And(fm.FalseF(), atom)
+        assert self._condition(induced, guarded, {c: 0}, ["c1"]) == (
+            ("value", False),
+            ("value", False),
+        )
+
+    def test_shadowing_is_lexical(self, spec, schema):
+        induced = _induced(spec, schema)
+        signature = spec.signature
+        course = signature.logic.sort("course")
+        c = Var("c", course)
+        c1 = signature.value(course, "c1")
+        c2 = signature.value(course, "c2")
+        # exists c. (c = c1 & (exists c. c = c2) & c = c1): the inner
+        # binder must not clobber the outer one.
+        condition = fm.Exists(
+            c,
+            fm.And(
+                fm.And(fm.Equals(c, c1), fm.Exists(c, fm.Equals(c, c2))),
+                fm.Equals(c, c1),
+            ),
+        )
+        compiled, reference = self._condition(induced, condition)
+        assert compiled == reference == ("value", True)
+        # A parameter c shadowed by a quantifier, then visible again.
+        outer = fm.And(
+            fm.Forall(c, fm.Or(fm.Equals(c, c1), fm.Equals(c, c2))),
+            fm.Equals(c, c2),
+        )
+        compiled, reference = self._condition(
+            induced, outer, {c: 0}, ["c2"]
+        )
+        assert compiled == reference == ("value", True)
+
+    def test_connective_terms_evaluate_every_argument(
+        self, spec, schema
+    ):
+        signature = spec.signature
+        course = signature.logic.sort("course")
+        sigma = Var("sigma", signature.logic.sort("state"))
+        offered = signature.apply_query(
+            "offered", signature.value(course, "c1"), sigma
+        )
+        # and(False, offered(c1, sigma)): a connective *term* still
+        # evaluates its second argument.
+        conjunction = signature.and_(signature.false(), offered)
+        calls = {"compiled": 0, "interpreted": 0}
+        for mode in calls:
+            induced = _induced(spec, schema)
+            original = induced.eval_query
+
+            def counting(*args, mode=mode, original=original):
+                calls[mode] += 1
+                return original(*args)
+
+            induced.eval_query = counting
+            state = induced.initial()
+            if mode == "compiled":
+                closure = induced.compile_term(conjunction, {sigma: 0})
+                value = closure([state])
+            else:
+                value = induced.eval_term(conjunction, {sigma: state})
+            assert value is False
+        assert calls == {"compiled": 1, "interpreted": 1}
+
+    def test_arguments_evaluate_in_interpreter_order(self, spec, schema):
+        induced = _induced(spec, schema)
+        signature = spec.signature
+        course = signature.logic.sort("course")
+        state = Var("U", signature.logic.sort("state"))
+        # Both the parameter and the state are unbound: the state is
+        # evaluated first, so its name is the one reported.
+        term = signature.apply_query("offered", Var("c", course), state)
+        compiled = _compiled_outcome(induced.compile_term(term, {}), [])
+        reference = _outcome(lambda: induced.eval_term(term, {}))
+        assert compiled == reference
+        assert compiled[2] == "unbound variable U"

@@ -216,3 +216,96 @@ class TestProcMeaning:
             courses_schema, "enroll", ("s1", "c1"), state, domains
         )
         assert after == state
+
+
+class TestDesugarMemo:
+    """Derived statements are expanded once per schema
+    (:meth:`Schema.expansion`)."""
+
+    def _top_level_desugars(self, monkeypatch) -> list:
+        """Record the statements ``desugar`` is called on from outside
+        itself (its recursion into sub-statements is not a call)."""
+        from repro.rpr import ast
+
+        calls = []
+        depth = [0]
+        original = ast.desugar
+
+        def counting(statement, schema):
+            if depth[0] == 0:
+                calls.append(statement)
+            depth[0] += 1
+            try:
+                return original(statement, schema)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(ast, "desugar", counting)
+        return calls
+
+    def test_each_derived_statement_once_per_schema(self, monkeypatch):
+        from repro.applications.courses import (
+            courses_algebraic,
+            courses_schema_source,
+        )
+        from repro.refinement.second_third import check_refinement
+        from repro.rpr.parser import parse_schema
+
+        calls = self._top_level_desugars(monkeypatch)
+        schema = parse_schema(courses_schema_source())
+        spec = courses_algebraic()
+        assert check_refinement(spec, schema).ok
+        first = len(calls)
+        # 401 procedure runs reach the derived statements again and
+        # again; each is expanded once.
+        assert first == len({id(s) for s in calls}) > 0
+        assert check_refinement(spec, schema).ok
+        assert len(calls) == first
+        # Another schema (equal, but another object) expands its own.
+        other = parse_schema(courses_schema_source())
+        assert other == schema
+        assert check_refinement(spec, other).ok
+        assert len(calls) == 2 * first
+
+    def test_schemas_share_no_entries(self):
+        from repro.applications.courses import courses_schema_source
+        from repro.rpr.parser import parse_schema
+
+        schemas = [parse_schema(courses_schema_source()) for _ in "ab"]
+        domains = {
+            sort: ("c1", "c2") for sort in schemas[0].sorts
+        }
+        for schema in schemas:
+            state = initial_state(schema)
+            run_proc(schema, "offer", ("c1",), state, domains)
+        first, second = (schema._expansions for schema in schemas)
+        assert first and second
+        assert not set(first) & set(second)
+        for memo in (first, second):
+            for key, (statement, _) in memo.items():
+                # The entry keeps its statement alive under its id.
+                assert key == id(statement)
+
+    def test_unreached_bad_insert_does_not_raise(self, schema, empty):
+        from repro.errors import SpecificationError
+
+        bad = Insert("R", (X, X))  # R has one column
+        never = Seq(Test(fm.FalseF()), bad)
+        valuation = {X: "t1"}
+        assert run(never, empty, schema, DOMAINS, valuation) == frozenset()
+        assert not schema._expansions
+        # Reached, it raises every time: errors are not stored.
+        for _ in range(2):
+            with pytest.raises(SpecificationError, match="arity"):
+                run(Seq(Skip(), bad), empty, schema, DOMAINS, valuation)
+        assert not schema._expansions
+
+    def test_copies_start_empty(self, schema, empty):
+        import copy
+        import pickle
+
+        run(Insert("R", (X,)), empty, schema, DOMAINS, {X: "t1"})
+        assert schema._expansions
+        for clone in (copy.copy(schema), pickle.loads(pickle.dumps(schema))):
+            assert clone == schema
+            assert clone._expansions == {}
