@@ -3,8 +3,8 @@ validity in the induced structure N(U), scaled over carriers, plus the
 direct cross-level agreement check.
 
 Expected shape: equation checking costs |reachable DB states| x
-|equation instances|; the dominant factor is the per-instance RPR
-procedure run, so cost tracks the state count (25 at 2x2, 123 at 2x3
+|equation instances|; each compiled procedure runs once per state and
+update instance, so cost tracks the state count (25 at 2x2, 123 at 2x3
 for the registrar).
 """
 

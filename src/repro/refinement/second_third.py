@@ -18,18 +18,21 @@ validity of A2 in N(U) is decided by checking each equation at every
 at that state) for every parameter instantiation — the same coverage
 as the paper's induction, without enumerating syntactic traces.
 
-Each equation's condition and sides are compiled once per check into
-closures (:meth:`InducedStructure.compile_term` and
-:meth:`InducedStructure.compile_condition`); the interpreters
-:meth:`InducedStructure.eval_term` and :meth:`InducedStructure.holds`
-are their reference semantics.
+The sweep runs on a numbered N(U): each database state gets an id, and
+the equations' conditions and sides are compiled once per check into
+closures over state ids (:meth:`InducedStructure.compile_term` and
+:meth:`InducedStructure.compile_condition`), as are the procedures and
+the K-images of the queries.  The interpreters
+:meth:`InducedStructure.eval_term` and :meth:`InducedStructure.holds`,
+:func:`~repro.rpr.semantics.run_proc` and
+:meth:`InducedStructure._realize` are their reference semantics.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Hashable, Iterator, Mapping
@@ -57,9 +60,11 @@ from repro.parallel.stats import (
 from repro.rpr.ast import Schema, is_deterministic
 from repro.rpr.semantics import (
     DatabaseState,
+    compile_formula,
+    compile_proc,
     initial_state,
-    run_proc,
     satisfies,
+    tuple_getter,
 )
 
 __all__ = [
@@ -269,23 +274,44 @@ def _failing(message: str) -> Compiled:
     return fail
 
 
+def _not_functional(
+    query: str,
+    params: tuple[str, ...],
+    state: DatabaseState,
+    candidates: list,
+) -> RefinementError:
+    return RefinementError(
+        f"K({query}) is not functional at state ({state}): "
+        f"{len(candidates)} result value(s) for params {params}"
+    )
+
+
 class InducedStructure:
     """The mapping N: the finitely generated L2 structure a schema
     universe induces (paper, Section 5.3).
 
     States of sort ``state`` are database states; queries are evaluated
-    by their K-images; updates act by running their procedures.  Both
-    are memoized per ``(name, params, state)`` for the lifetime of the
+    by their K-images; updates act by running their procedures.  Every
+    procedure must be deterministic: the induced update *functions*
+    would otherwise be multivalued (a procedure that blocks, and so
+    would make one partial, raises when it runs).
+
+    N(U) is numbered: each database state the structure meets gets an
+    id, in first-seen order, so ids do not depend on the hash seed.
+    Procedure results and query values are kept in one row per
+    ``(name, params)``, indexed by state id, for the lifetime of the
     instance (one check), so each procedure runs once per state and
-    update instance however many equation instances ask for it.
+    update instance however many equation instances ask for it.  Each
+    procedure body and each K(q) realization compiles once, when it is
+    first used (:func:`~repro.rpr.semantics.compile_proc`,
+    :func:`~repro.rpr.semantics.compile_formula`);
+    :func:`~repro.rpr.semantics.run_proc` and :meth:`_realize` are
+    their reference semantics.
 
     Args:
         signature: the L2 language.
         schema: the parsed T3 schema.
         rep_map: the mapping K.
-        require_deterministic: reject schemas whose procedures are
-            nondeterministic or can block (the induced update
-            *functions* would be partial or multivalued).
     """
 
     def __init__(
@@ -293,33 +319,39 @@ class InducedStructure:
         signature: AlgebraicSignature,
         schema: Schema,
         rep_map: RepresentationMap,
-        require_deterministic: bool = True,
     ):
         self.signature = signature
         self.schema = schema
         self.rep_map = rep_map
-        self._require_deterministic = require_deterministic
         self._domains = {
             rep_map.sort_map[sort]: tuple(signature.domain(sort))
             for sort in signature.parameter_sorts
         }
-        if require_deterministic:
-            for proc in schema.procs:
-                if not is_deterministic(proc.body):
-                    raise RefinementError(
-                        f"procedure {proc.name!r} is not deterministic; "
-                        "the induced update function would be "
-                        "multivalued"
-                    )
-        self._trace_cache: dict[Term, DatabaseState] = {}
-        #: Results of successful procedure runs and query
-        #: realizations, keyed by ``(name, params, state)``, which
-        #: determines them.  Errors are never stored, so a blocking or
-        #: nondeterministic procedure, or a non-functional
-        #: realization, raises on every call.
-        self._step_memo: dict[tuple, DatabaseState] = {}
-        self._query_memo: dict[tuple, Hashable] = {}
-        #: ``run_proc`` calls made, and step calls the memo answered.
+        for proc in schema.procs:
+            if not is_deterministic(proc.body):
+                raise RefinementError(
+                    f"procedure {proc.name!r} is not deterministic; "
+                    "the induced update function would be "
+                    "multivalued"
+                )
+        #: The numbering: state -> id, and id -> state.
+        self._ids: dict[DatabaseState, int] = {}
+        self._states: list[DatabaseState] = []
+        #: The id of the all-empty state K(initiate) runs on, once
+        #: built, and the id each realized trace denotes.
+        self._empty: int | None = None
+        self._trace_cache: dict[Term, int] = {}
+        #: Successor ids of successful procedure runs and values of
+        #: query realizations: name -> params -> row, each row indexed
+        #: by state id and holding ``_MISSING`` where nothing is known.
+        #: Errors are never stored, so a blocking procedure or a
+        #: non-functional realization raises on every call.
+        self._step_rows: defaultdict[str, dict] = defaultdict(dict)
+        self._query_rows: defaultdict[str, dict] = defaultdict(dict)
+        self._rows: list[list] = []
+        self._procs: dict[str, Callable] = {}
+        self._realizations: dict[str, Callable] = {}
+        #: Procedure runs made, and step calls the rows answered.
         self.proc_runs = 0
         self.proc_memo_hits = 0
 
@@ -333,56 +365,98 @@ class InducedStructure:
     # ------------------------------------------------------------------
     def initial(self) -> DatabaseState:
         """K(initiate): run the initial procedure on the empty state."""
-        return self._step(
-            self.rep_map.initial_proc, (), initial_state(self.schema)
-        )
+        return self._states[self._initial()]
 
     def apply_update(
         self, update: str, params: tuple[str, ...], state: DatabaseState
     ) -> DatabaseState:
         """Run the procedure implementing ``update`` on ``state``."""
-        return self._step(self.rep_map.proc_for(update), params, state)
+        return self._states[
+            self._step(
+                self.rep_map.proc_for(update), params, self._number(state)
+            )
+        ]
 
-    def _step(
-        self, proc: str, params: tuple[str, ...], state: DatabaseState
-    ) -> DatabaseState:
-        key = (proc, params, state)
-        cached = self._step_memo.get(key)
-        if cached is not None:
+    def _number(self, state: DatabaseState) -> int:
+        """The id of ``state``, assigning the next one to a new state."""
+        sid = self._ids.get(state)
+        if sid is None:
+            sid = self._ids[state] = len(self._states)
+            self._states.append(state)
+            for row in self._rows:
+                row.append(_MISSING)
+        return sid
+
+    def _row(self, table: dict, key: tuple[str, ...]) -> list:
+        """The row of ``key`` in ``table``, made on first use."""
+        row = table.get(key)
+        if row is None:
+            row = table[key] = [_MISSING] * len(self._states)
+            self._rows.append(row)
+        return row
+
+    def _initial(self) -> int:
+        if self._empty is None:
+            self._empty = self._number(initial_state(self.schema))
+        return self._step(self.rep_map.initial_proc, (), self._empty)
+
+    def _apply(self, update: str, params: tuple[str, ...], sid: int) -> int:
+        return self._step(self.rep_map.proc_for(update), params, sid)
+
+    def _step(self, proc: str, params: tuple[str, ...], sid: int) -> int:
+        """The id of the successor of state ``sid`` under
+        ``proc(params)``, from its row or by running the procedure."""
+        row = self._row(self._step_rows[proc], params)
+        successor = row[sid]
+        if successor is not _MISSING:
             self.proc_memo_hits += 1
-            return cached
+            return successor
         self.proc_runs += 1
-        results = run_proc(
-            self.schema, proc, params, state, self._domains
-        )
+        results = self._run_compiled(proc, params, self._states[sid])
         if not results:
             raise ExecutionError(
                 f"procedure {proc}({', '.join(params)}) blocks; the "
                 "induced update function is partial"
             )
-        if len(results) > 1 and self._require_deterministic:
+        if len(results) > 1:
             raise ExecutionError(
                 f"procedure {proc}({', '.join(params)}) is "
                 f"nondeterministic ({len(results)} successors)"
             )
-        successor = self._step_memo[key] = next(iter(results))
+        (state,) = results
+        successor = row[sid] = self._number(state)
         return successor
+
+    def _run_compiled(
+        self, proc: str, params: tuple[str, ...], state: DatabaseState
+    ) -> frozenset[DatabaseState]:
+        """``run_proc(schema, proc, params, state, domains)``, by the
+        procedure's body compiled on its first run."""
+        runner = self._procs.get(proc)
+        if runner is None:
+            runner = self._procs[proc] = compile_proc(
+                self.schema, proc, self._domains
+            )
+        return runner(params, state)
 
     def state_of_trace(self, trace: Term) -> DatabaseState:
         """Realize a ground L2 trace as a database state (memoized)."""
+        return self._states[self._trace_id(trace)]
+
+    def _trace_id(self, trace: Term) -> int:
         cached = self._trace_cache.get(trace)
         if cached is not None:
             return cached
         if not isinstance(trace, App):
             raise RefinementError(f"not a ground trace: {trace}")
         if self.signature.is_initial(trace.symbol):
-            result = self.initial()
+            result = self._initial()
         elif self.signature.is_update(trace.symbol):
-            inner = self.state_of_trace(trace.args[-1])
+            inner = self._trace_id(trace.args[-1])
             params = tuple(
                 self._param_value(arg) for arg in trace.args[:-1]
             )
-            result = self.apply_update(trace.symbol.name, params, inner)
+            result = self._apply(trace.symbol.name, params, inner)
         else:
             raise RefinementError(f"not a trace constructor: {trace}")
         self._trace_cache[trace] = result
@@ -401,15 +475,18 @@ class InducedStructure:
     ) -> list[DatabaseState]:
         """BFS over database states from the initial state through all
         update instances."""
-        start = self.initial()
+        return [self._states[sid] for sid in self._reachable(max_states)]
+
+    def _reachable(self, max_states: int) -> list[int]:
+        start = self._initial()
         seen = {start}
         order = [start]
         frontier = deque([start])
         instances = list(self._update_instances())
         while frontier:
-            state = frontier.popleft()
+            sid = frontier.popleft()
             for update, params in instances:
-                successor = self.apply_update(update, params, state)
+                successor = self._apply(update, params, sid)
                 if successor not in seen:
                     if len(seen) >= max_states:
                         raise RefinementError(
@@ -449,14 +526,73 @@ class InducedStructure:
             RefinementError: if a functional realization has zero or
                 several satisfying result values at the state.
         """
-        key = (query, params, state)
-        cached = self._query_memo.get(key, _MISSING)
-        if cached is not _MISSING:
-            return cached
-        value = self._query_memo[key] = self._realize(
-            query, params, state
-        )
+        return self._query(query, params, self._number(state))
+
+    def _query(self, query: str, params: tuple[str, ...], sid: int):
+        row = self._row(self._query_rows[query], params)
+        value = row[sid]
+        if value is _MISSING:
+            value = row[sid] = self._realize_compiled(
+                query, params, self._states[sid]
+            )
         return value
+
+    def _realize_compiled(
+        self,
+        query: str,
+        params: tuple[str, ...],
+        state: DatabaseState,
+    ) -> Hashable:
+        """:meth:`_realize`, by the realization's wff compiled on first
+        use over the slots ``[*variables, result_var]``."""
+        realize = self._realizations.get(query)
+        if realize is None:
+            realize = self._realizations[query] = self._compile_realization(
+                query
+            )
+        return realize(params, state)
+
+    def _compile_realization(self, query: str):
+        realization = self.rep_map.realization(query)
+        variables = realization.variables
+        result_var = realization.result_var
+        frame = [*variables] if result_var is None else [
+            *variables, result_var
+        ]
+        slots = itertools.count(len(frame))
+        formula = compile_formula(
+            realization.formula,
+            self._domains,
+            {var: index for index, var in enumerate(frame)},
+            slots,
+        )
+        free = [None] * (next(slots) - len(variables))
+        arity = len(variables)
+        interpreted = self._realize
+        if result_var is None:
+
+            def realize(params, state):
+                if len(params) != arity:  # _realize binds a prefix
+                    return interpreted(query, params, state)
+                return formula(state, [*params, *free])
+
+            return realize
+        candidates = self._domains.get(result_var.sort, ())
+
+        def realize_functional(params, state):
+            if len(params) != arity:
+                return interpreted(query, params, state)
+            env = [*params, *free]
+            found = []
+            for value in candidates:
+                env[arity] = value
+                if formula(state, env):
+                    found.append(value)
+            if len(found) != 1:
+                raise _not_functional(query, params, state, found)
+            return found[0]
+
+        return realize_functional
 
     def _realize(
         self,
@@ -485,10 +621,7 @@ class InducedStructure:
             )
         ]
         if len(candidates) != 1:
-            raise RefinementError(
-                f"K({query}) is not functional at state ({state}): "
-                f"{len(candidates)} result value(s) for params {params}"
-            )
+            raise _not_functional(query, params, state, candidates)
         return candidates[0]
 
     def eval_term(
@@ -614,11 +747,13 @@ class InducedStructure:
         """:meth:`eval_term` of ``term`` as a closure over a positional
         environment; ``scope`` maps each bound variable to its index.
 
-        The closure evaluates exactly as the interpreter does: the same
+        State-sorted values are state ids: a state variable's slot
+        holds one, and an update application returns one.  Otherwise
+        the closure evaluates exactly as the interpreter does: the same
         argument order, every argument of a connective, the same
-        memoized procedure runs and query realizations.  A term the
-        interpreter rejects compiles to a closure raising the same
-        error when it is reached.
+        procedure runs and query realizations from the same rows.  A
+        term the interpreter rejects compiles to a closure raising the
+        same error when it is reached.
         """
         if isinstance(term, Var):
             if term not in scope:
@@ -642,13 +777,15 @@ class InducedStructure:
         if interp is not None:
             return lambda env: interp(*[arg(env) for arg in args])
         if sig.is_initial(symbol):
-            return lambda env: self.initial()
+            initial = self._initial
+            return lambda env: initial()
         name = symbol.name
         if sig.is_update(symbol) or sig.is_query(symbol):
-            realize = (
-                self.apply_update if sig.is_update(symbol) else self.eval_query
-            )
-            return _compile_application(realize, name, args)
+            *params, state = args
+            getter = _parameter_getter(term.args[:-1], params, scope)
+            if sig.is_update(symbol):
+                return self._compile_update(name, getter, state)
+            return self._compile_query(name, getter, state)
         if symbol.is_constant:
             return lambda env: name  # a parameter name
         return _failing(f"cannot evaluate {term} in N(U)")
@@ -720,17 +857,64 @@ class InducedStructure:
         return quantified
 
 
-def _compile_application(realize, name: str, args: list[Compiled]):
-    """An update or query application: the state argument first, then
-    each parameter as its ``str`` (see
-    :meth:`InducedStructure.eval_term`)."""
-    *params, state = args
+    def _compile_update(
+        self, update: str, params: Compiled, state: Compiled
+    ) -> Compiled:
+        """An update application: the state argument first, then the
+        parameters; the successor's id from the procedure's row, or by
+        :meth:`_apply` where the row has none."""
+        proc = self.rep_map.update_map.get(update)
+        rows = {} if proc is None else self._step_rows[proc]
+        apply = self._apply
 
-    def apply(env: list) -> Hashable:
-        at = state(env)
-        return realize(name, tuple([str(param(env)) for param in params]), at)
+        def application(env: list) -> int:
+            at = state(env)
+            key = params(env)
+            row = rows.get(key)
+            if row is not None:
+                successor = row[at]
+                if successor is not _MISSING:
+                    self.proc_memo_hits += 1
+                    return successor
+            return apply(update, key, at)
 
-    return apply
+        return application
+
+    def _compile_query(
+        self, query: str, params: Compiled, state: Compiled
+    ) -> Compiled:
+        """A query application, as :meth:`_compile_update` reads an
+        update's: the value from the query's row, or by :meth:`_query`
+        where the row has none."""
+        rows = self._query_rows[query]
+        evaluate = self._query
+
+        def application(env: list) -> Hashable:
+            at = state(env)
+            key = params(env)
+            row = rows.get(key)
+            if row is not None:
+                value = row[at]
+                if value is not _MISSING:
+                    return value
+            return evaluate(query, key, at)
+
+        return application
+
+
+def _parameter_getter(
+    terms: tuple[Term, ...], compiled: list[Compiled], scope: Mapping[Var, int]
+) -> Compiled:
+    """An application's parameter tuple, each value as its ``str`` (see
+    :meth:`InducedStructure.eval_term`).  Where every parameter is a
+    bound variable, one getter reads the tuple: the slots of parameter
+    and quantifier variables hold domain strings already."""
+    if not all(
+        isinstance(term, Var) and term in scope and term.sort != STATE
+        for term in terms
+    ):
+        return lambda env: tuple([str(param(env)) for param in compiled])
+    return tuple_getter([scope[term] for term in terms])
 
 
 def _compile_connective(name: str, args: list[Compiled]) -> Compiled:
@@ -837,8 +1021,9 @@ def _compile_equation(
     state_vars: list[Var],
 ) -> tuple[Compiled | None, Compiled, Compiled, int]:
     """An equation's condition (``None`` when it has none), lhs and rhs
-    compiled over the environment ``[*params, *state, *slots]``, and the
-    number of quantifier slots the condition needs."""
+    compiled over the environment ``[*params, *state, *slots]``, where
+    the state slot holds a state id, and the number of quantifier slots
+    the condition needs."""
     frame = [*param_vars, *state_vars]
     scope = {var: index for index, var in enumerate(frame)}
     slots = itertools.count(len(frame))
@@ -875,8 +1060,9 @@ def check_refinement(
         rep_map = RepresentationMap.homonym(spec.signature, schema)
     induced = InducedStructure(spec.signature, schema, rep_map)
     with _span("second-third.reachable", max_states=max_states) as rs:
-        states = induced.reachable_states(max_states=max_states)
-        rs.count("second_third.db_states", len(states))
+        reachable = induced._reachable(max_states)
+        rs.count("second_third.db_states", len(reachable))
+    states = induced._states
 
     failures: list[EquationFailure] = []
     instances = 0
@@ -888,10 +1074,11 @@ def check_refinement(
         condition, lhs, rhs, width = _compile_equation(
             induced, equation, param_vars, state_vars
         )
-        for state in states:
-            # The environment: parameters, then the state (when the
-            # equation has one), then the quantifier slots.
-            tail = [state] * len(state_vars) + [None] * width
+        for sid in reachable:
+            # The environment: parameters, then the state's id (when
+            # the equation has a state variable), then the quantifier
+            # slots.
+            tail = [sid] * len(state_vars) + [None] * width
             for values in itertools.product(*spaces):
                 env = [*values, *tail]
                 if condition is not None and not condition(env):
@@ -900,10 +1087,13 @@ def check_refinement(
                 lhs_value = lhs(env)
                 rhs_value = rhs(env)
                 if lhs_value != rhs_value:
+                    if equation.is_u_equation:  # both sides are ids
+                        lhs_value = states[lhs_value]
+                        rhs_value = states[rhs_value]
                     failures.append(
                         EquationFailure(
                             equation,
-                            state,
+                            states[sid],
                             tuple(
                                 (var.name, value)
                                 for var, value in zip(
@@ -917,7 +1107,7 @@ def check_refinement(
                     if len(failures) >= _FAILURE_CAP:
                         report = SecondToThirdReport(
                             False,
-                            len(states),
+                            len(reachable),
                             instances,
                             tuple(failures),
                         )
@@ -928,7 +1118,7 @@ def check_refinement(
             break
     if report is None:
         report = SecondToThirdReport(
-            not failures, len(states), instances, tuple(failures)
+            not failures, len(reachable), instances, tuple(failures)
         )
     _count("second_third.proc_runs", induced.proc_runs)
     _count("second_third.proc_memo_hits", induced.proc_memo_hits)
@@ -986,7 +1176,8 @@ def check_agreement(
     states = 0
     for trace in itertools.islice(algebra.traces(depth), max_traces):
         states += 1
-        db_state = induced.state_of_trace(trace)
+        sid = induced._trace_id(trace)
+        db_state = induced._states[sid]
         values = None
         if fallback is None:
             try:
@@ -999,7 +1190,7 @@ def check_agreement(
                 algebraic_value = values[index]
             else:
                 algebraic_value = algebra.query(name, *params, trace=trace)
-            realized_value = induced.eval_query(name, params, db_state)
+            realized_value = induced._query(name, params, sid)
             if algebraic_value != realized_value:
                 signature = algebra.signature
                 query_symbol = signature.query(name)

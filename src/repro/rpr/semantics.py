@@ -28,15 +28,21 @@ agree with the denotational definitions pointwise (a property-tested
 fact).  :func:`statement_relation` materializes the full relation over
 an explicitly given universe when the set-theoretic object itself is
 wanted.
+
+:func:`compile_proc` and :func:`compile_formula` compile k(proc) and a
+wff once into closures over a positional environment, for callers that
+evaluate them at many states; :func:`run_proc` and :func:`satisfies`
+are their reference semantics.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping
+from operator import itemgetter
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, SpecificationError
 from repro.logic import formulas as fm
 from repro.logic.sorts import Sort
 from repro.logic.terms import Term, Var
@@ -69,6 +75,10 @@ __all__ = [
     "evaluate_relational_term",
     "run",
     "run_proc",
+    "compile_formula",
+    "compile_statement",
+    "compile_proc",
+    "tuple_getter",
     "statement_relation",
     "proc_function",
     "all_states",
@@ -397,6 +407,343 @@ def run_proc(
         )
     valuation = dict(zip(proc.params, args))
     return run(proc.body, state, schema, domains, valuation)
+
+
+# ---------------------------------------------------------------------
+# the same, compiled once into closures
+# ---------------------------------------------------------------------
+#: A compiled term, formula or statement: a closure over a database
+#: state and a positional environment, a list with one slot per
+#: procedure parameter, relational-term variable and quantifier
+#: variable.
+Compiled = Callable[[DatabaseState, list], object]
+
+_NO_STATES: frozenset[DatabaseState] = frozenset()
+
+
+def _raising(error: type[Exception], message: str) -> Compiled:
+    """A closure raising ``error(message)`` when it is reached: the
+    interpreter's error, deferred from compile time."""
+
+    def fail(state: DatabaseState, env: list):
+        raise error(message)
+
+    return fail
+
+
+def _compile_term(term: Term, scope: Mapping[Var, int]) -> Compiled:
+    """:func:`evaluate_term` of ``term`` as a closure; ``scope`` maps
+    each bound variable to its environment slot."""
+    if isinstance(term, Var):
+        slot = scope.get(term)
+        if slot is None:
+            return _raising(
+                ExecutionError,
+                f"unbound variable {term.name} in RPR evaluation",
+            )
+        return lambda state, env: env[slot]
+    if isinstance(term, ScalarRef):
+        name = term.name
+        return lambda state, env: state.scalar(name)
+    if isinstance(term, ValueLiteral):
+        value = term.value
+        return lambda state, env: value
+    return _raising(ExecutionError, f"unsupported RPR term: {term}")
+
+
+def tuple_getter(slots: list[int]) -> Callable[[list], tuple]:
+    """A callable reading the tuple of ``env[slot]`` for ``slots``, in
+    order: one :func:`operator.itemgetter` where it returns a tuple."""
+    if not slots:
+        return lambda env: ()
+    if len(slots) == 1:  # itemgetter would return a bare value
+        (slot,) = slots
+        return lambda env: (env[slot],)
+    return itemgetter(*slots)
+
+
+def _compile_arguments(
+    args: tuple[Term, ...], scope: Mapping[Var, int]
+) -> Compiled:
+    """The tuple of an atom's argument values, evaluated in order; one
+    getter when every argument is a bound variable."""
+    slots = [
+        scope.get(arg) if isinstance(arg, Var) else None for arg in args
+    ]
+    if None not in slots:
+        getter = tuple_getter(slots)
+        return lambda state, env: getter(env)
+    terms = [_compile_term(arg, scope) for arg in args]
+    return lambda state, env: tuple([term(state, env) for term in terms])
+
+
+def compile_formula(
+    formula: fm.Formula,
+    domains: Domains,
+    scope: Mapping[Var, int],
+    slots: Iterator[int],
+) -> Compiled:
+    """:func:`satisfies` of ``formula`` as a closure over
+    ``(state, env)``.
+
+    ``scope`` maps each bound variable to its slot in ``env``.  Each
+    quantifier takes a fresh slot from ``slots`` (consecutive integers,
+    an :func:`itertools.count`), which shadows any outer binding of its
+    variable inside its body.  The closure
+    decides as :func:`satisfies` does: ``and``, ``or`` and ``implies``
+    short-circuit, ``iff`` evaluates both sides, and a quantifier
+    iterates its domain in order and stops as ``all``/``any`` stop.
+    Domains are looked up at compile time.  A formula the interpreter
+    rejects compiles to a closure raising the same error when it is
+    reached.
+    """
+    if isinstance(formula, fm.TrueF):
+        return lambda state, env: True
+    if isinstance(formula, fm.FalseF):
+        return lambda state, env: False
+    if isinstance(formula, fm.Atom):
+        arguments = _compile_arguments(formula.args, scope)
+        name = formula.predicate.name
+        return lambda state, env: (
+            arguments(state, env) in state.relation(name)
+        )
+    if isinstance(formula, fm.Equals):
+        lhs = _compile_term(formula.lhs, scope)
+        rhs = _compile_term(formula.rhs, scope)
+        return lambda state, env: lhs(state, env) == rhs(state, env)
+    if isinstance(formula, fm.Not):
+        body = compile_formula(formula.body, domains, scope, slots)
+        return lambda state, env: not body(state, env)
+    if isinstance(formula, (fm.And, fm.Or, fm.Implies, fm.Iff)):
+        lhs = compile_formula(formula.lhs, domains, scope, slots)
+        rhs = compile_formula(formula.rhs, domains, scope, slots)
+        if isinstance(formula, fm.And):
+            return lambda state, env: lhs(state, env) and rhs(state, env)
+        if isinstance(formula, fm.Or):
+            return lambda state, env: lhs(state, env) or rhs(state, env)
+        if isinstance(formula, fm.Implies):
+            return lambda state, env: (not lhs(state, env)) or rhs(
+                state, env
+            )
+        return lambda state, env: lhs(state, env) == rhs(state, env)
+    if isinstance(formula, (fm.Forall, fm.Exists)):
+        return _compile_quantifier(formula, domains, scope, slots)
+    return _raising(
+        ExecutionError, f"unsupported formula in RPR: {formula!r}"
+    )
+
+
+def _compile_quantifier(formula, domains, scope, slots) -> Compiled:
+    var = formula.var
+    slot = next(slots)
+    body = compile_formula(formula.body, domains, {**scope, var: slot}, slots)
+    try:
+        carrier = domains[var.sort]
+    except KeyError:
+        return _raising(ExecutionError, f"no domain for sort {var.sort}")
+    if isinstance(formula, fm.Forall):
+
+        def forall(state: DatabaseState, env: list) -> bool:
+            for value in carrier:
+                env[slot] = value
+                if not body(state, env):
+                    return False
+            return True
+
+        return forall
+
+    def exists(state: DatabaseState, env: list) -> bool:
+        for value in carrier:
+            env[slot] = value
+            if body(state, env):
+                return True
+        return False
+
+    return exists
+
+
+def _compile_relational_term(
+    term: RelationalTerm,
+    domains: Domains,
+    scope: Mapping[Var, int],
+    slots: Iterator[int],
+) -> Compiled:
+    """:func:`evaluate_relational_term` as a closure; the tuple
+    variables take consecutive fresh slots."""
+    spaces = []
+    for var in term.variables:
+        try:
+            spaces.append(domains[var.sort])
+        except KeyError:
+            return _raising(ExecutionError, f"no domain for sort {var.sort}")
+    positions = [next(slots) for _ in term.variables]
+    formula = compile_formula(
+        term.formula,
+        domains,
+        {**scope, **dict(zip(term.variables, positions))},
+        slots,
+    )
+    window = slice(positions[0], positions[-1] + 1) if positions else (
+        slice(0, 0)
+    )
+    candidates = tuple(itertools.product(*spaces))
+
+    def relation(state: DatabaseState, env: list) -> frozenset:
+        rows = []
+        for values in candidates:
+            env[window] = values
+            if formula(state, env):
+                rows.append(values)
+        return frozenset(rows)
+
+    return relation
+
+
+def _compile_assignment(
+    statement: RelAssign,
+    schema: Schema,
+    domains: Domains,
+    scope: Mapping[Var, int],
+    slots: Iterator[int],
+) -> Compiled:
+    term = _compile_relational_term(statement.term, domains, scope, slots)
+    name = statement.relation
+    try:
+        fits = schema.relation(name).column_sorts == statement.term.sort
+    except SpecificationError:
+        fits = False
+    if not fits:
+
+        def misfit(state: DatabaseState, env: list):
+            term(state, env)
+            schema.relation(name)  # raises for an undeclared relation
+            raise ExecutionError(
+                f"relational assignment to {name}: sort mismatch"
+            )
+
+        return misfit
+    return lambda state, env: frozenset(
+        {state.with_relation(name, term(state, env))}
+    )
+
+
+def compile_statement(
+    statement: Statement,
+    schema: Schema,
+    domains: Domains,
+    scope: Mapping[Var, int],
+    slots: Iterator[int],
+) -> Callable[[DatabaseState, list], frozenset[DatabaseState]]:
+    """:func:`run` of ``statement`` as a closure over ``(state, env)``
+    returning the image of ``state`` (see :func:`compile_formula` for
+    ``scope`` and ``slots``).
+
+    Derived statements compile through :meth:`Schema.expansion`.  One
+    whose expansion raises runs the interpreter when it is reached,
+    which raises the same error then and not before: an ``insert`` of
+    the wrong arity in a branch never taken does not raise.  A
+    relational assignment to an undeclared relation, or of the wrong
+    sort, raises after its term is evaluated, as :func:`run` does.
+    """
+    if isinstance(statement, Assign):
+        term = _compile_term(statement.term, scope)
+        scalar = statement.scalar
+        return lambda state, env: frozenset(
+            {state.with_scalar(scalar, term(state, env))}
+        )
+    if isinstance(statement, RelAssign):
+        return _compile_assignment(statement, schema, domains, scope, slots)
+    if isinstance(statement, Test):
+        formula = compile_formula(statement.formula, domains, scope, slots)
+        return lambda state, env: (
+            frozenset({state}) if formula(state, env) else _NO_STATES
+        )
+    if isinstance(statement, Skip):
+        return lambda state, env: frozenset({state})
+    if isinstance(statement, (Union, Seq)):
+        left = compile_statement(statement.left, schema, domains, scope, slots)
+        right = compile_statement(
+            statement.right, schema, domains, scope, slots
+        )
+        if isinstance(statement, Union):
+            return lambda state, env: left(state, env) | right(state, env)
+
+        def seq(state: DatabaseState, env: list) -> frozenset:
+            middles = left(state, env)
+            if len(middles) == 1:
+                (middle,) = middles
+                return right(middle, env)
+            out: set[DatabaseState] = set()
+            for middle in middles:
+                out |= right(middle, env)
+            return frozenset(out)
+
+        return seq
+    if isinstance(statement, Star):
+        body = compile_statement(statement.body, schema, domains, scope, slots)
+
+        def star(state: DatabaseState, env: list) -> frozenset:
+            reached = {state}
+            frontier = [state]
+            while frontier:
+                for successor in body(frontier.pop(), env):
+                    if successor not in reached:
+                        reached.add(successor)
+                        frontier.append(successor)
+            return frozenset(reached)
+
+        return star
+    if isinstance(statement, (IfThen, IfThenElse, While, Insert, Delete)):
+        try:
+            expansion = schema.expansion(statement)
+        except (SpecificationError, TypeError):
+            return lambda state, env: _run(
+                statement,
+                state,
+                schema,
+                domains,
+                {var: env[slot] for var, slot in scope.items()},
+            )
+        return compile_statement(expansion, schema, domains, scope, slots)
+    return _raising(TypeError, f"not a statement: {statement!r}")
+
+
+def compile_proc(
+    schema: Schema, name: str, domains: Domains
+) -> Callable[[tuple[str, ...], DatabaseState], frozenset[DatabaseState]]:
+    """k(proc) compiled once: a callable ``(args, state)`` returning
+    what ``run_proc(schema, name, args, state, domains)`` returns.
+
+    The body becomes one closure over ``(state, env)``; ``env`` holds
+    the arguments, then one slot per relational-term variable and
+    quantifier variable of the body.
+
+    Raises:
+        SpecificationError: for an undeclared procedure, as
+            :func:`run_proc` does.
+    """
+    proc = schema.proc(name)
+    arity = len(proc.params)
+    slots = itertools.count(arity)
+    body = compile_statement(
+        proc.body,
+        schema,
+        domains,
+        {var: index for index, var in enumerate(proc.params)},
+        slots,
+    )
+    free = [None] * (next(slots) - arity)
+
+    def run_compiled(
+        args: tuple[str, ...], state: DatabaseState
+    ) -> frozenset[DatabaseState]:
+        if len(args) != arity:
+            raise ExecutionError(
+                f"proc {name} expects {arity} argument(s), got {len(args)}"
+            )
+        return body(state, [*args, *free])
+
+    return run_compiled
 
 
 def all_states(

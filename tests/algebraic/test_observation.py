@@ -87,6 +87,43 @@ class TestCongruence:
         updates = {violation.update for violation in report.violations}
         assert "ping" in updates
 
+    def test_violations_match_pairwise_comparison(self):
+        # The reference: every (other, update) pair re-applies the
+        # update to the anchor and compares the two snapshots.
+        algebra = TraceAlgebra(_history_dependent_spec())
+        expected = []
+        for members in observational_classes(algebra, 2).values():
+            anchor, *others = members[:10]
+            for other in others:
+                for update, params in algebra.update_instances():
+                    if not algebra.observationally_equal(
+                        algebra.apply(update, *params, trace=anchor),
+                        algebra.apply(update, *params, trace=other),
+                    ):
+                        expected.append((anchor, other, update, params))
+        report = check_congruence(algebra, depth=2)
+        assert [
+            (v.left, v.right, v.update, v.params) for v in report.violations
+        ] == expected
+
+    @pytest.mark.parametrize(
+        "app,snapshots,evaluations",
+        [("courses", 785, 4_710), ("projects", 2_311, 20_799)],
+    )
+    def test_anchor_successors_are_snapshotted_once_per_class(
+        self, app, snapshots, evaluations
+    ):
+        from repro import obs
+        from repro.cli import APPLICATIONS
+
+        algebra = TraceAlgebra(APPLICATIONS[app]().algebraic)
+        tracer = obs.Tracer()
+        with obs.activate(tracer):
+            assert check_congruence(algebra, depth=2).ok
+        counters = tracer.counter_totals()
+        assert counters["algebra.snapshots"] == snapshots
+        assert counters["rewrite.evaluate.calls"] == evaluations
+
     def test_representative_cap_respected(self, courses_algebra):
         # With a cap of 1 representative per class there is nothing to
         # compare, so the check trivially passes but still counts.

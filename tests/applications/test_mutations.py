@@ -9,7 +9,8 @@ whole equations.
 
 The same mutants pin the per-state memos of the Section 5.4 sweep and
 of check (d): on every mutant, the memoized report equals one computed
-by running every procedure, and checking every edge, afresh.
+by interpreting every procedure, realization and equation, and
+checking every edge, afresh.
 """
 
 import pytest
@@ -29,9 +30,11 @@ from repro.refinement.first_second import (
     check_transition_consistency,
 )
 from repro.refinement.interpretation import Interpretation
+from repro.refinement import second_third
 from repro.refinement.second_third import InducedStructure, check_refinement
 from repro.rpr.parser import parse_schema
 from repro.rpr.semantics import run_proc
+from tests.refinement.test_second_third import interpreted_equation
 
 
 @pytest.fixture(scope="module")
@@ -77,19 +80,19 @@ def test_unmutated_baseline_passes(schema):
     assert report.ok
 
 
-def _fresh_step(self, proc, params, state):
-    """``InducedStructure._step`` without the memo (the mutants run
-    the correct, deterministic schema, so every step has one
-    successor)."""
+def _fresh_step(self, proc, params, sid):
+    """``InducedStructure._step`` without the rows: ``run_proc`` on the
+    state the id numbers (the mutants run the correct, deterministic
+    schema, so every step has one successor)."""
     (successor,) = run_proc(
-        self.schema, proc, params, state, self._domains
+        self.schema, proc, params, self._states[sid], self._domains
     )
-    return successor
+    return self._number(successor)
 
 
-def _fresh_query(self, query, params, state):
-    """``InducedStructure.eval_query`` without the memo."""
-    return self._realize(query, params, state)
+def _fresh_query(self, query, params, sid):
+    """``InducedStructure._query`` without the rows: ``_realize``."""
+    return self._realize(query, params, self._states[sid])
 
 
 @pytest.mark.parametrize(
@@ -100,8 +103,13 @@ def test_second_third_memo_matches_fresh_runs(
 ):
     report = check_refinement(mutant, schema)
     with monkeypatch.context() as patch:
+        # Nothing is stored in the rows, so every application the
+        # equations make runs the interpreters afresh.
         patch.setattr(InducedStructure, "_step", _fresh_step)
-        patch.setattr(InducedStructure, "eval_query", _fresh_query)
+        patch.setattr(InducedStructure, "_query", _fresh_query)
+        patch.setattr(
+            second_third, "_compile_equation", interpreted_equation
+        )
         reference = check_refinement(mutant, schema)
     assert str(report) == str(reference)
     assert report == reference

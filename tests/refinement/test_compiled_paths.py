@@ -61,7 +61,10 @@ from tests.algebraic.test_completeness import _c1_only_spec
 from tests.algebraic.test_induction import _faulty_cancel_spec
 from tests.applications.test_mutations import MUTANTS
 from tests.refinement.test_first_second import dropping_enroll_spec
-from tests.refinement.test_second_third import BROKEN_CANCEL
+from tests.refinement.test_second_third import (
+    BROKEN_CANCEL,
+    interpret_n_of_u,
+)
 
 APPS = ["courses", "library", "projects", "bank"]
 
@@ -180,36 +183,10 @@ def _refuse_batch(patch):
     patch.setattr(RewriteEngine, "evaluate_cells", refuse)
 
 
-def _interpreted_equation(induced, equation, param_vars, state_vars):
-    """``_compile_equation`` answered by ``holds``/``eval_term``: the
-    sweep then runs the interpreters exactly as before compilation."""
-    frame = [*param_vars, *state_vars]
-
-    def valuation(env):
-        return dict(zip(frame, env))
-
-    condition = None
-    if equation.condition is not None:
-
-        def condition(env):
-            return induced.holds(equation.condition, valuation(env))
-
-    def lhs(env):
-        return induced.eval_term(equation.lhs, valuation(env))
-
-    def rhs(env):
-        return induced.eval_term(equation.rhs, valuation(env))
-
-    return condition, lhs, rhs, 0
-
-
-def _interpret_equations(patch):
-    patch.setattr(
-        second_third, "_compile_equation", _interpreted_equation
-    )
-
-
 def _desugar_every_run(patch):
+    # The compiled procedures expand each derived statement once, at
+    # compile time; the interpreters then expand it at every run.
+    interpret_n_of_u(patch)
     patch.setattr(
         Schema, "expansion", lambda self, statement: desugar(statement, self)
     )
@@ -223,7 +200,7 @@ SITES = {
     "inclusion": (_inclusion, _refuse_compile),
     "completeness": (_completeness, _refuse_batch),
     "agreement": (_agreement, _refuse_batch),
-    "second-third": (_second_third, _interpret_equations),
+    "second-third": (_second_third, interpret_n_of_u),
     "desugar": (_second_third, _desugar_every_run),
 }
 

@@ -21,6 +21,7 @@ from repro.refinement.second_third import (
     check_refinement,
 )
 from repro.rpr.parser import parse_schema
+from repro.rpr.semantics import DatabaseState, run_proc
 
 
 @pytest.fixture(scope="module")
@@ -58,17 +59,67 @@ def _induced(spec, schema) -> InducedStructure:
 
 
 def _counting_run_proc(monkeypatch) -> list:
-    """Record the ``(proc, args, state)`` of every ``run_proc`` call
-    the induced structure makes."""
+    """Record the ``(proc, args, state)`` of every procedure run the
+    induced structure makes."""
     runs = []
-    original = second_third.run_proc
+    original = InducedStructure._run_compiled
 
-    def counting(schema, name, args, state, domains):
+    def counting(self, name, args, state):
         runs.append((name, args, state))
-        return original(schema, name, args, state, domains)
+        return original(self, name, args, state)
 
-    monkeypatch.setattr(second_third, "run_proc", counting)
+    monkeypatch.setattr(InducedStructure, "_run_compiled", counting)
     return runs
+
+
+# ---------------------------------------------------------------------
+# the interpreters the compiled, numbered N(U) replaces
+# ---------------------------------------------------------------------
+def interpreted_run(self, proc, params, state):
+    """``InducedStructure._run_compiled`` answered by ``run_proc``."""
+    return run_proc(self.schema, proc, params, state, self._domains)
+
+
+def interpreted_equation(induced, equation, param_vars, state_vars):
+    """``_compile_equation`` answered by ``holds``/``eval_term``.  The
+    sweep's environment holds state ids; the interpreters get the
+    states they number, and a state-sorted side's value goes back to
+    the sweep as its id."""
+    frame = [*param_vars, *state_vars]
+
+    def valuation(env):
+        values = dict(zip(frame, env))
+        for var in state_vars:
+            values[var] = induced._states[values[var]]
+        return values
+
+    def side(term):
+        def evaluate(env):
+            value = induced.eval_term(term, valuation(env))
+            if isinstance(value, DatabaseState):
+                return induced._number(value)
+            return value
+
+        return evaluate
+
+    condition = None
+    if equation.condition is not None:
+
+        def condition(env):
+            return induced.holds(equation.condition, valuation(env))
+
+    return condition, side(equation.lhs), side(equation.rhs), 0
+
+
+def interpret_n_of_u(patch):
+    """Run the Section 5.4 sweep on the interpreters: ``holds`` and
+    ``eval_term`` for the equations, ``run_proc`` for every procedure
+    run and ``_realize`` for every query realization."""
+    patch.setattr(second_third, "_compile_equation", interpreted_equation)
+    patch.setattr(InducedStructure, "_run_compiled", interpreted_run)
+    patch.setattr(
+        InducedStructure, "_realize_compiled", InducedStructure._realize
+    )
 
 
 class TestRepresentationMap:
@@ -186,7 +237,7 @@ class TestInducedStructureMemo:
         assert len(runs) == 2
 
     def test_non_functional_realization_raises_every_time(
-        self, spec, schema
+        self, spec, schema, monkeypatch
     ):
         rep_map = RepresentationMap.homonym(spec.signature, schema)
         offered = rep_map.realization("offered")
@@ -198,9 +249,18 @@ class TestInducedStructureMemo:
         )
         induced = InducedStructure(spec.signature, schema, rep_map)
         state = induced.initial()
+        realized = []
+        original = InducedStructure._realize_compiled
+
+        def counting(self, *args):
+            realized.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(InducedStructure, "_realize_compiled", counting)
         for _ in range(2):
             with pytest.raises(RefinementError, match="not functional"):
                 induced.eval_query("offered", ("c1",), state)
+        assert len(realized) == 2
 
 
 class TestQuantifierDomains:
@@ -294,7 +354,14 @@ class TestClosuresMatchInterpreter:
         induced = InducedStructure(
             spec.signature, framework.schema, rep_map
         )
-        states = induced.reachable_states()
+        # The reference runs every procedure with run_proc and every
+        # realization with _realize, in rows of its own.
+        reference = InducedStructure(
+            spec.signature, framework.schema, rep_map
+        )
+        reference._run_compiled = interpreted_run.__get__(reference)
+        reference._realize_compiled = reference._realize
+        reachable = induced._reachable(100_000)
         compared = 0
         for equation in spec.equations:
             state_vars, param_vars, spaces = second_third._equation_frame(
@@ -303,25 +370,28 @@ class TestClosuresMatchInterpreter:
             condition, lhs, rhs, width = second_third._compile_equation(
                 induced, equation, param_vars, state_vars
             )
-            for state in states:
+            for sid in reachable:
                 for values in itertools.product(*spaces):
                     valuation = dict(zip(param_vars, values))
                     if state_vars:
-                        valuation[state_vars[0]] = state
-                    env = [*values, *[state] * len(state_vars)]
+                        valuation[state_vars[0]] = induced._states[sid]
+                    env = [*values, *[sid] * len(state_vars)]
                     env += [None] * width
                     if condition is not None:
                         assert _compiled_outcome(condition, env) == (
                             _outcome(
-                                lambda: induced.holds(
+                                lambda: reference.holds(
                                     equation.condition, valuation
                                 )
                             )
                         )
                     for side, term in ((lhs, equation.lhs),
                                        (rhs, equation.rhs)):
-                        assert _compiled_outcome(side, env) == _outcome(
-                            lambda: induced.eval_term(term, valuation)
+                        compiled = _compiled_outcome(side, env)
+                        if equation.is_u_equation and compiled[0] == "value":
+                            compiled = ("value", induced._states[compiled[1]])
+                        assert compiled == _outcome(
+                            lambda: reference.eval_term(term, valuation)
                         )
                     compared += 1
         assert compared > len(spec.equations)
@@ -437,17 +507,17 @@ class TestClosureSemantics:
         calls = {"compiled": 0, "interpreted": 0}
         for mode in calls:
             induced = _induced(spec, schema)
-            original = induced.eval_query
+            original = induced._query
 
             def counting(*args, mode=mode, original=original):
                 calls[mode] += 1
                 return original(*args)
 
-            induced.eval_query = counting
+            induced._query = counting
             state = induced.initial()
             if mode == "compiled":
                 closure = induced.compile_term(conjunction, {sigma: 0})
-                value = closure([state])
+                value = closure([induced._number(state)])
             else:
                 value = induced.eval_term(conjunction, {sigma: state})
             assert value is False
