@@ -148,19 +148,3 @@ def bench_exploration_packed(benchmark, mode):
     graph = benchmark(algebra.explore)
     assert len(graph.states) == 125
     assert not graph.truncated
-
-
-def bench_delta_reexploration(benchmark):
-    """Re-exploring with the previous run's edge artifact: every
-    transition replays from the values-keyed memo."""
-    spec = courses_algebraic(default_students(2), default_courses(3))
-    algebra = TraceAlgebra(spec)
-    artifact = algebra.explore().artifact
-    assert artifact is not None
-
-    def run():
-        return algebra.explore(edge_cache=artifact)
-
-    graph = benchmark(run)
-    assert graph.delta["reexplored_states"] == 0
-    assert graph.delta["cached_transitions"] == len(graph.transitions)

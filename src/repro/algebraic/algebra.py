@@ -18,7 +18,6 @@ refinement checks.
 from __future__ import annotations
 
 import itertools
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -27,15 +26,9 @@ from weakref import WeakValueDictionary
 from repro.errors import ReproError, SpecificationError
 from repro.algebraic.rewriting import RewriteEngine, Value
 from repro.algebraic.spec import AlgebraicSpec
+from repro.obs.stats import counter_delta, engine_counters
 from repro.obs.tracer import OBS_STATE as _OBS, count as _count, span as _span
 from repro.logic.terms import App, Term
-from repro.parallel.stats import (
-    StatsSink,
-    VerificationStats,
-    WorkerStats,
-    counter_delta,
-    engine_counters,
-)
 
 __all__ = ["TraceAlgebra", "Snapshot", "StateGraph", "Transition"]
 
@@ -198,12 +191,6 @@ class StateGraph:
     states: dict[Snapshot, Term]
     transitions: list[Transition] = field(default_factory=list)
     truncated: bool = False
-    #: Delta-exploration artifact (packed serial path only): the
-    #: values-keyed edge memo to persist for incremental
-    #: re-exploration, and the delta statistics of this run.  Both are
-    #: bookkeeping, not graph content: excluded from equality.
-    artifact: dict | None = field(default=None, repr=False, compare=False)
-    delta: dict | None = field(default=None, repr=False, compare=False)
     #: Source-indexed adjacency map, built lazily on the first
     #: :meth:`successors` call and rebuilt if transitions were added
     #: since (detected by length, sufficient for the append-only use).
@@ -406,8 +393,6 @@ class TraceAlgebra:
         self,
         max_states: int = 100_000,
         max_depth: int | None = None,
-        stats: StatsSink | None = None,
-        edge_cache: dict | None = None,
     ) -> StateGraph:
         """Breadth-first construction of the reachable observational
         state space (the set G of Section 4.4b, modulo observational
@@ -417,49 +402,28 @@ class TraceAlgebra:
             max_states: stop (and mark the graph truncated) after this
                 many distinct snapshots.
             max_depth: optionally bound the number of updates applied.
-            edge_cache: a previously returned exploration artifact
-                (``graph.artifact``); the serial packed explorer reuses
-                its values-keyed transition memo for every update
-                instance whose equations are unchanged, re-exploring
-                only the affected frontier.  Ignored (full explore) on
-                the object path.
-            stats: optional sink receiving one ``"explore"``
-                :class:`~repro.parallel.stats.VerificationStats`
-                record.
 
         Returns:
             The :class:`StateGraph` with one node per distinct
             snapshot, a witness trace per node, and every update edge
             between explored nodes.
         """
-        started = time.perf_counter()
         with _span("explore") as obs_span:
             before = engine_counters(self.engine)
-            packed = self._explore_packed(max_states, max_depth, edge_cache)
+            packed = self._explore_packed(max_states, max_depth)
             if packed is not None:
                 graph, items = packed
             else:
                 graph, items = self._explore_serial(max_states, max_depth)
-            delta = counter_delta(before, engine_counters(self.engine), items)
-            obs_span.record(delta)
+            obs_span.record(
+                counter_delta(before, engine_counters(self.engine), items)
+            )
             obs_span.count("explore.states", len(graph.states))
             obs_span.count("explore.transitions", len(graph.transitions))
-        if stats is not None:
-            record = WorkerStats(
-                worker=0, wall_time=time.perf_counter() - started, **delta
-            )
-            stats.add(
-                VerificationStats.merge(
-                    "explore", 1, [record], time.perf_counter() - started
-                )
-            )
         return graph
 
     def _explore_packed(
-        self,
-        max_states: int,
-        max_depth: int | None,
-        edge_cache: dict | None,
+        self, max_states: int, max_depth: int | None
     ) -> tuple[StateGraph, int] | None:
         """Try the packed value-row explorer; ``None`` falls back to
         the object BFS, counted as ``explore.fallback.<reason>``:
@@ -487,7 +451,7 @@ class TraceAlgebra:
         if explorer is False:
             return _object_path("outside_fragment")
         try:
-            return explorer.explore(max_states, max_depth, edge_cache)
+            return explorer.explore(max_states, max_depth)
         except PackedUnsupported:
             return _object_path("unsupported_midrun")
         except ReproError:

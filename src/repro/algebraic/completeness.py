@@ -34,7 +34,6 @@ absence of circularity".  This module implements both halves:
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 
 import networkx as nx
@@ -49,14 +48,8 @@ from repro.algebraic.equations import ConditionalEquation
 from repro.algebraic.spec import AlgebraicSpec
 from repro.logic.terms import App, Term, Var
 from repro.obs.coverage import COV_STATE as _COV
-from repro.obs.tracer import count as _count, span as _span
-from repro.parallel.stats import (
-    StatsSink,
-    VerificationStats,
-    WorkerStats,
-    counter_delta,
-    engine_counters,
-)
+from repro.obs.stats import counter_delta, engine_counters
+from repro.obs.tracer import count as _count, record as _record, span as _span
 
 __all__ = [
     "TerminationReport",
@@ -255,7 +248,6 @@ def check_coverage(
     spec: AlgebraicSpec,
     depth: int = 3,
     max_traces: int = 5_000,
-    stats: StatsSink | None = None,
 ) -> CoverageReport:
     """Check that every query evaluates on every trace up to ``depth``.
 
@@ -269,10 +261,9 @@ def check_coverage(
     batch.  The reference loop, one query per cell, redoes a trace
     whose batch raised, and runs every trace while coverage records.
 
-    Args:
-        stats: optional sink receiving one ``"coverage"`` record.
+    The rewrite work and the cells evaluated (``items``) are counted
+    on the active span.
     """
-    started = time.perf_counter()
     missing = _missing_constructors(spec)
     algebra = TraceAlgebra(spec)
     observations = algebra.observations
@@ -310,17 +301,7 @@ def check_coverage(
         uncovered=tuple(uncovered),
         traces_checked=traces_checked,
     )
-    if stats is not None:
-        record = WorkerStats(
-            worker=0,
-            wall_time=time.perf_counter() - started,
-            **counter_delta(before, engine_counters(algebra.engine), items),
-        )
-        stats.add(
-            VerificationStats.merge(
-                "coverage", 1, [record], time.perf_counter() - started
-            )
-        )
+    _record(counter_delta(before, engine_counters(algebra.engine), items))
     return report
 
 
@@ -328,23 +309,15 @@ def check_sufficient_completeness(
     spec: AlgebraicSpec,
     depth: int = 3,
     max_traces: int = 5_000,
-    stats: StatsSink | None = None,
 ) -> CompletenessReport:
-    """Run both halves of the Section 4.4a check and combine them.
-
-    Args:
-        stats: optional sink receiving the coverage record.
-    """
+    """Run both halves of the Section 4.4a check and combine them."""
     with _span("completeness") as obs_span:
         with _span("completeness.termination"):
             termination = check_termination(spec)
         try:
             with _span("completeness.coverage", depth=depth):
                 coverage = check_coverage(
-                    spec,
-                    depth=depth,
-                    max_traces=max_traces,
-                    stats=stats,
+                    spec, depth=depth, max_traces=max_traces
                 )
         except ReproError as exc:  # pragma: no cover - defensive
             coverage = CoverageReport(

@@ -25,8 +25,6 @@ scale the example.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.algebraic.description import (
     STATE_VAR,
     Effect,
@@ -42,7 +40,7 @@ from repro.logic import formulas as fm
 from repro.logic.parser import parse_formula
 from repro.logic.signature import Signature
 from repro.logic.sorts import Sort
-from repro.logic.terms import App, Var
+from repro.logic.terms import Var
 
 __all__ = [
     "STUDENT",

@@ -29,7 +29,6 @@ import time
 from typing import Callable
 
 from repro.core.framework import DesignFramework
-from repro.algebraic.exploration import delta_counters
 from repro.logic.arena import arena_stats
 from repro.logic.terms import intern_stats, intern_table_size
 
@@ -124,23 +123,6 @@ def _split_selection(values: list[str] | None) -> list[str] | None:
             part.strip() for part in value.split(",") if part.strip()
         )
     return names or None
-
-
-def _classic_results(report) -> dict:
-    """The per-check report map of a classic :class:`FrameworkReport`
-    (the shape :func:`repro.obs.provenance.render_failures` reads)."""
-    first = report.first_second
-    return {
-        "completeness": first.completeness,
-        "static": first.static,
-        "inclusion": first.inclusion,
-        "transitions": first.transitions,
-        "induction": report.induction,
-        "congruence": report.congruence,
-        "grammar": report.grammar_ok,
-        "second-third": report.second_third,
-        "agreement": report.agreement,
-    }
 
 
 def _print_failure_traces(framework, results, graph=None) -> None:
@@ -241,6 +223,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    from contextlib import nullcontext
+
+    from repro.errors import SpecificationError
+    from repro.obs.tracer import Tracer, activate
+    from repro.parallel.backends import ExecutorBackendError
+
     names = (
         list(APPLICATIONS) if args.application == "all"
         else [args.application]
@@ -249,21 +237,19 @@ def _run_verify(args: argparse.Namespace) -> int:
     if backend_args is None:
         return 2
     backend, worker_addresses = backend_args
-    collect_stats = (
-        args.stats
-        or args.stats_json is not None
-        or args.metrics_json is not None
-    )
-    want_trace = bool(
-        args.trace or args.trace_jsonl or args.trace_summary
-    )
+    want_stats = args.stats or args.stats_json is not None
     want_coverage = (
         args.coverage is not None or args.coverage_html is not None
     )
     tracer = None
-    if want_trace or args.metrics_json is not None:
-        from repro.obs.tracer import Tracer
-
+    if (
+        want_stats
+        or args.metrics_json is not None
+        or args.trace
+        or args.trace_jsonl
+        or args.trace_summary
+    ):
+        # Every stats record is read off the span tree.
         tracer = Tracer()
     cache = None
     if args.cache_dir is not None:
@@ -278,10 +264,9 @@ def _run_verify(args: argparse.Namespace) -> int:
     only = _split_selection(args.only)
     skip = _split_selection(args.skip)
     selection_mode = bool(only or skip or args.fail_fast)
-    include_stats = collect_stats or args.workers > 1
     failures = 0
     stats_bundles = []
-    verified_stats = []
+    results = []
     coverage_documents = []
     for name in names:
         factory = APPLICATIONS.get(name)
@@ -291,128 +276,79 @@ def _run_verify(args: argparse.Namespace) -> int:
             return 2
         framework = factory()
         started = time.perf_counter()
-        if selection_mode or want_coverage:
-            from contextlib import nullcontext
-
-            from repro.errors import SpecificationError
-            from repro.obs.tracer import activate
-            from repro.parallel.backends import ExecutorBackendError
-
-            activation = (
-                activate(tracer) if tracer is not None else nullcontext()
+        activation = (
+            activate(tracer) if tracer is not None else nullcontext()
+        )
+        recorder = None
+        cov_scope = nullcontext()
+        if want_coverage:
+            from repro.obs.coverage import (
+                CoverageRecorder,
+                activate_coverage,
             )
-            recorder = None
-            cov_scope = nullcontext()
-            if want_coverage:
-                from repro.obs.coverage import (
-                    CoverageRecorder,
-                    activate_coverage,
-                )
 
-                # One recorder per application: documents never mix
-                # coverage across specs.
-                recorder = CoverageRecorder()
-                cov_scope = activate_coverage(recorder)
-            try:
-                with activation, cov_scope:
-                    result = framework.verify_pipeline(
-                        completeness_depth=args.depth,
-                        congruence_depth=args.depth,
-                        workers=args.workers,
-                        cache=cache,
-                        only=only,
-                        skip=skip,
-                        fail_fast=args.fail_fast,
-                        backend=backend,
-                        worker_addresses=worker_addresses,
-                    )
-            except (SpecificationError, ExecutorBackendError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            elapsed = time.perf_counter() - started
-            ok = result.ok
-            verdict = "OK" if ok else "FAILED"
-            print(f"[{verdict}] {framework.name}  ({elapsed:.1f}s)")
-            if selection_mode:
-                if not args.quiet or not ok:
-                    print(result.summary())
-                    print()
-            else:
-                report = framework.report_of(
-                    result, include_stats=include_stats
-                )
-                if not args.quiet or not ok:
-                    print(report)
-                    print()
-            if not ok:
-                _print_failure_traces(
-                    framework,
-                    {
-                        check: result.result_of(check)
-                        for check in result.selection
-                    },
-                    graph=result.result_of("explore"),
-                )
-            stats = (
-                result.combined_stats() if include_stats else None
-            )
-            if want_coverage:
-                coverage_documents.append(
-                    _coverage_document_of(
-                        args, name, framework, recorder, result
-                    )
-                )
-        else:
-            from repro.parallel.backends import ExecutorBackendError
-
-            try:
-                report = framework.verify(
+            # One recorder per application: documents never mix
+            # coverage across specs.
+            recorder = CoverageRecorder()
+            cov_scope = activate_coverage(recorder)
+        try:
+            with activation, cov_scope:
+                result = framework.verify_pipeline(
                     completeness_depth=args.depth,
                     congruence_depth=args.depth,
                     workers=args.workers,
-                    collect_stats=collect_stats,
-                    tracer=tracer,
                     cache=cache,
+                    only=only,
+                    skip=skip,
+                    fail_fast=args.fail_fast,
                     backend=backend,
                     worker_addresses=worker_addresses,
                 )
-            except ExecutorBackendError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            elapsed = time.perf_counter() - started
-            ok = report.ok
-            verdict = "OK" if ok else "FAILED"
-            print(f"[{verdict}] {framework.name}  ({elapsed:.1f}s)")
-            if not args.quiet or not ok:
-                print(report)
-                print()
-            if not ok:
-                _print_failure_traces(
-                    framework, _classic_results(report)
+        except (SpecificationError, ExecutorBackendError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        elapsed = time.perf_counter() - started
+        ok = result.ok
+        verdict = "OK" if ok else "FAILED"
+        print(f"[{verdict}] {framework.name}  ({elapsed:.1f}s)")
+        if not args.quiet or not ok:
+            if selection_mode:
+                print(result.summary())
+            else:
+                print(framework.report_of(result))
+            print()
+        if not ok:
+            _print_failure_traces(
+                framework,
+                {check: result.result_of(check) for check in result.selection},
+                graph=result.result_of("explore"),
+            )
+        if want_coverage:
+            coverage_documents.append(
+                _coverage_document_of(
+                    args, name, framework, recorder, result
                 )
-            stats = report.stats
-        if stats is not None:
+            )
+        if want_stats:
+            stats = result.combined_stats()
             if args.stats:
                 for part in stats.parts:
                     print(f"  {part}")
                 print(f"  {stats}")
                 kernel = intern_stats()
                 arena = arena_stats()
-                delta = delta_counters()
                 print(
                     f"  [kernel] intern_table={intern_table_size()} "
                     f"(vars={kernel['vars']} apps={kernel['apps']}) "
                     f"dispatch_hits={stats.dispatch_hits} "
                     f"interned_during_run={stats.interned_terms} "
                     f"arena_terms={arena['terms']} "
-                    f"arena_bytes={arena['bytes']} "
-                    f"delta_reexplored_states="
-                    f"{delta['reexplored_states']}"
+                    f"arena_bytes={arena['bytes']}"
                 )
             stats_bundles.append(
                 {"application": name, **stats.to_dict()}
             )
-            verified_stats.append(stats)
+        results.append(result)
         if not ok:
             failures += 1
     if args.stats_json is not None and stats_bundles:
@@ -425,7 +361,7 @@ def _run_verify(args: argparse.Namespace) -> int:
             args.stats_json, json.dumps(payload, indent=2), "stats JSON"
         ):
             return 2
-    if not _write_observability(args, tracer, verified_stats):
+    if not _write_observability(args, tracer, results):
         return 2
     if want_coverage and coverage_documents:
         from repro.obs.coverage import coverage_json
@@ -459,7 +395,7 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 
 def _write_observability(
-    args: argparse.Namespace, tracer, verified_stats
+    args: argparse.Namespace, tracer, results
 ) -> bool:
     """Export the trace/metrics artifacts the verify flags requested.
 
@@ -503,8 +439,8 @@ def _write_observability(
         print(format_tree(tracer))
     if args.metrics_json is not None:
         registry = MetricsRegistry()
-        for stats in verified_stats:
-            registry.record_verification(stats)
+        for result in results:
+            registry.record_verification(result)
         registry.merge_tracer(tracer)
         registry.record_kernel()
         if not _write_text_output(
@@ -849,8 +785,8 @@ def main(argv: list[str] | None = None) -> int:
     verify.add_argument(
         "--stats-json", metavar="PATH", default=None,
         help=(
-            "write the aggregated VerificationStats record as JSON to "
-            "PATH ('-' for stdout)"
+            "write the per-check statistics records and their bundle "
+            "as JSON to PATH ('-' for stdout)"
         ),
     )
     verify.add_argument(

@@ -1,10 +1,12 @@
 """Span-based observability for the verification engine.
 
 ``repro.obs`` is the instrumentation seam of the system: a
-zero-dependency span tracer (:mod:`repro.obs.tracer`), a named
-counter/gauge registry (:mod:`repro.obs.metrics`), and trace
-exporters (:mod:`repro.obs.export`) — Chrome ``chrome://tracing``
-JSON, a flat JSONL event log, and a human summary tree.
+zero-dependency span tracer (:mod:`repro.obs.tracer`), the per-check
+statistics records read off its span counters
+(:mod:`repro.obs.stats`), a named counter/gauge registry
+(:mod:`repro.obs.metrics`), and trace exporters
+(:mod:`repro.obs.export`) — Chrome ``chrome://tracing`` JSON, a flat
+JSONL event log, and a human summary tree.
 
 Tracing is off by default and costs one branch per instrumentation
 point when off.  Turn it on around a block::
@@ -94,6 +96,7 @@ from repro.obs.tracer import (
     disable,
     enable,
     is_enabled,
+    record,
     span,
 )
 
@@ -103,6 +106,7 @@ __all__ = [
     "OBS_STATE",
     "span",
     "count",
+    "record",
     "enable",
     "disable",
     "is_enabled",

@@ -1,33 +1,26 @@
 """Named counters and gauges: the metrics registry.
 
-The verification engine accumulates ad-hoc counters in several places
-— :class:`~repro.algebraic.rewriting.RewriteEngine` attributes
-(``cache_hits``/``cache_misses``/``rewrite_steps``/``dispatch_hits``),
-the process-wide term-intern tables, per-worker
-:class:`~repro.parallel.stats.WorkerStats` records and their
-:class:`~repro.parallel.stats.VerificationStats` aggregates.  The
-:class:`MetricsRegistry` subsumes them behind one namespace of *named*
-counters (monotone integers) and gauges (point-in-time floats), so
-exporters and the ``--metrics-json`` CLI flag have a single flat,
-stable schema to emit:
+The :class:`MetricsRegistry` gathers a verification run's numbers
+behind one namespace of *named* counters (monotone integers) and
+gauges (point-in-time floats), so exporters and the ``--metrics-json``
+CLI flag have a single flat, stable schema to emit:
 
-========================== =========================================
-``verify.items``           total work items over every check
-``verify.wall_time``       summed per-check wall seconds (gauge)
-``rewrite.cache.hits``     rewrite-engine memo hits
-``rewrite.cache.misses``   rewrite-engine memo misses
-``rewrite.steps``          conditional-equation firings
-``rewrite.dispatch.hits``  compiled dispatch-table reuses
-``kernel.interned_terms``  terms hash-consed during the run
-``kernel.intern_table.*``  live intern-table sizes (gauges)
-``kernel.arena.*``         packed term-arena sizes (gauges)
-``kernel.delta.*``         delta-exploration totals (gauges)
-``check.<label>.*``        the same counters, per check
-========================== =========================================
+============================ =======================================
+``<counter>``                every span counter, summed over the run
+                             (``items``, ``cache_hits``,
+                             ``rewrite.evaluate.calls``,
+                             ``wgrammar.steps``, ...)
+``check.<name>.<counter>``   the same counters, per check
+``check.<name>.wall_time``   the check's wall seconds (gauge)
+``verify.wall_time``         summed per-check wall seconds (gauge)
+``verify.workers``           the requested worker count (gauge)
+``kernel.intern_table.*``    live intern-table sizes (gauges)
+``kernel.arena.*``           packed term-arena sizes (gauges)
+============================ =======================================
 
-Span counters recorded through the tracer (``rewrite.evaluate.calls``,
-``wgrammar.steps``, ...) merge into the same namespace via
-:meth:`MetricsRegistry.merge_tracer`.
+Span counters merge in through :meth:`MetricsRegistry.merge_tracer`;
+the per-check breakdown comes from the pipeline run
+(:meth:`MetricsRegistry.record_verification`).
 """
 
 from __future__ import annotations
@@ -37,19 +30,9 @@ from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.tracer import Tracer
-    from repro.parallel.stats import VerificationStats
+    from repro.pipeline.scheduler import PipelineResult
 
 __all__ = ["MetricsRegistry"]
-
-#: VerificationStats counter fields and their registry names.
-_STATS_COUNTERS = (
-    ("states_checked", "items"),
-    ("cache_hits", "rewrite.cache.hits"),
-    ("cache_misses", "rewrite.cache.misses"),
-    ("rewrite_steps", "rewrite.steps"),
-    ("dispatch_hits", "rewrite.dispatch.hits"),
-    ("interned_terms", "kernel.interned_terms"),
-)
 
 
 class MetricsRegistry:
@@ -92,25 +75,28 @@ class MetricsRegistry:
         self.merge_counters(tracer.counter_totals())
 
     # ------------------------------------------------------------------
-    def record_verification(self, stats: "VerificationStats") -> None:
-        """Subsume a :class:`VerificationStats` bundle.
+    def record_verification(self, result: "PipelineResult") -> None:
+        """Record one pipeline run check by check.
 
-        The combined record lands under the flat names of the module
-        docstring; each per-check part additionally lands under
-        ``check.<label>.<counter>`` with a ``check.<label>.wall_time``
-        gauge, so a trace viewer and the JSON consumer see the same
-        decomposition the ``--stats`` tree prints.
+        Each executed or replayed check's span counters land under
+        ``check.<name>.<counter>`` and its wall time under the
+        ``check.<name>.wall_time`` gauge, so a trace viewer and the
+        JSON consumer see the same decomposition the ``--stats`` lines
+        print; ``verify.wall_time`` gauges their sum.  Like the
+        counters, the wall times add up over repeated calls (one per
+        application of ``verify all``).
         """
-        for field, name in _STATS_COUNTERS:
-            target = "verify.items" if name == "items" else name
-            self.inc(target, getattr(stats, field))
-        self.set_gauge("verify.wall_time", stats.wall_time)
-        self.set_gauge("verify.workers", stats.workers)
-        for part in stats.parts:
-            prefix = f"check.{part.label}."
-            for field, name in _STATS_COUNTERS:
-                self.inc(prefix + name, getattr(part, field))
-            self.set_gauge(prefix + "wall_time", part.wall_time)
+        for execution in result.executions:
+            run = execution.run
+            if run is None:
+                continue
+            prefix = f"check.{execution.name}."
+            self.merge_counters(run.counters or {}, prefix=prefix)
+            for name in (prefix + "wall_time", "verify.wall_time"):
+                self.set_gauge(
+                    name, self.gauges.get(name, 0.0) + run.wall_time
+                )
+        self.set_gauge("verify.workers", result.workers)
 
     def record_runtime(self, stats: Mapping) -> None:
         """Subsume a :attr:`~repro.runtime.service.SpecRuntime.stats`
@@ -139,9 +125,8 @@ class MetricsRegistry:
         )
 
     def record_kernel(self) -> None:
-        """Gauge the live term-kernel intern tables, the packed term
-        arenas, and the delta-exploration totals."""
-        from repro.algebraic.exploration import delta_counters
+        """Gauge the live term-kernel intern tables and the packed
+        term arenas."""
         from repro.logic.arena import arena_stats
         from repro.logic.terms import intern_stats, intern_table_size
 
@@ -152,15 +137,6 @@ class MetricsRegistry:
         arena = arena_stats()
         self.set_gauge("kernel.arena.terms", arena["terms"])
         self.set_gauge("kernel.arena.bytes", arena["bytes"])
-        delta = delta_counters()
-        self.set_gauge(
-            "kernel.delta.reexplored_states",
-            delta["reexplored_states"],
-        )
-        self.set_gauge(
-            "kernel.delta.cached_transitions",
-            delta["cached_transitions"],
-        )
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping
 
+from repro.errors import ReproError
 from repro.logic.terms import App, Term
 from repro.obs.coverage import payload_digest
 
@@ -85,8 +86,10 @@ def render_counterexample(
 
     Witness traces from the explorer are breadth-first, hence of
     minimal update count.  When ``algebra`` is given each line also
-    shows the observational snapshot reached (the state sequence);
-    snapshot evaluation failures degrade to the bare update line.
+    shows the observational snapshot reached (the state sequence); a
+    specification error while evaluating it (the spec under
+    verification may be incomplete or non-terminating) degrades the
+    line to the bare update.
     """
     lines: list[str] = []
     for prefix in _prefixes(term):
@@ -99,7 +102,7 @@ def render_counterexample(
         if algebra is not None:
             try:
                 snapshot = f"  {algebra.snapshot(prefix)}"
-            except Exception:
+            except ReproError:
                 snapshot = ""
         lines.append(f"{indent}{step}{snapshot}")
     return "\n".join(lines)
@@ -244,7 +247,7 @@ def render_failures(
         ):
             try:
                 graph = graph_provider()
-            except Exception:
+            except ReproError:
                 graph = None
         rendered = counterexamples_of(
             name, report, algebra=algebra, graph=graph

@@ -19,7 +19,7 @@ Worker processes created by :mod:`repro.parallel.executor` inherit the
 enabled flag through ``fork``; each chunk runs under :func:`capture`,
 which gives the worker a fresh buffer rooted at one ``chunk`` span.
 The serialized buffers travel back through
-:class:`~repro.parallel.stats.WorkerStats` and are grafted under the
+:class:`~repro.parallel.executor.WorkerStats` and are grafted under the
 parent's active span **in chunk submission order** — the order the
 executor returns results in — so the exported trace is deterministic
 modulo timings.
@@ -38,6 +38,7 @@ __all__ = [
     "OBS_STATE",
     "span",
     "count",
+    "record",
     "enable",
     "disable",
     "is_enabled",
@@ -268,6 +269,16 @@ def count(name: str, n: int = 1) -> None:
     state = OBS_STATE
     if state.enabled:
         state.tracer.count(name, n)
+
+
+def record(counters: Mapping[str, int]) -> None:
+    """Fold a counter mapping into the active span; no-op when tracing
+    is disabled."""
+    state = OBS_STATE
+    if state.enabled:
+        tracer = state.tracer
+        for name, value in counters.items():
+            tracer.count(name, value)
 
 
 def is_enabled() -> bool:

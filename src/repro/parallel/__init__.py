@@ -16,18 +16,15 @@ This package provides the pieces that fan-out uses:
 
 * :mod:`repro.parallel.executor` — the chunk executor with the
   deterministic submission-order merge (and a transparent in-process
-  fallback);
+  fallback), and the :class:`WorkerStats` envelope each chunk's
+  counters, spans and coverage travel back in;
 * :mod:`repro.parallel.backends` — where chunks run: ``inline``
   (in-process virtual workers), ``fork`` (one forked process per
   virtual worker, the default), or ``socket`` (remote ``repro
   worker`` processes over TCP);
 * :mod:`repro.parallel.wire` — the length-prefixed JSON frame
   protocol the socket backend and the worker speak;
-* :mod:`repro.parallel.worker` — the ``repro worker`` TCP server;
-* :mod:`repro.parallel.stats` — the :class:`VerificationStats` record
-  (states checked, rewrite-cache hits/misses, rewrite steps, wall
-  time, per-worker breakdown) that each check emits and
-  :meth:`repro.core.framework.DesignFramework.verify` surfaces.
+* :mod:`repro.parallel.worker` — the ``repro worker`` TCP server.
 
 The contract: reports, coverage and per-check stats (timing and
 intern-table growth aside) are identical for every worker count on
@@ -46,13 +43,10 @@ from repro.parallel.backends import (
     resolve_backend,
     use_backend,
 )
-from repro.parallel.executor import ParallelExecutor
-from repro.parallel.stats import StatsSink, VerificationStats, WorkerStats
+from repro.parallel.executor import ParallelExecutor, WorkerStats
 
 __all__ = [
     "ParallelExecutor",
-    "StatsSink",
-    "VerificationStats",
     "WorkerStats",
     "ExecutorBackend",
     "ExecutorBackendError",

@@ -46,7 +46,7 @@ import multiprocessing
 import pickle
 import socket as socketlib
 import threading
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 __all__ = [
     "ExecutorBackend",

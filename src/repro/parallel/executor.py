@@ -39,14 +39,60 @@ The counter dict may omit keys; missing counters default to zero.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.obs.coverage import COV_STATE, capture_coverage
 from repro.obs.tracer import OBS_STATE, Span, capture
 from repro.parallel.backends import ExecutorBackend, resolve_backend
-from repro.parallel.stats import WorkerStats
 
-__all__ = ["ParallelExecutor", "PendingMap"]
+__all__ = ["ParallelExecutor", "PendingMap", "WorkerStats"]
+
+
+@dataclass(frozen=True)
+class WorkerStats:
+    """What one chunk sends back beside its result.
+
+    Attributes:
+        worker: chunk index (0-based, in submission order).
+        items, cache_hits, cache_misses, rewrite_steps, dispatch_hits,
+            interned_terms: the counters the chunk function returned
+            (zero when it omitted them).
+        wall_time: seconds the chunk took, measured where it ran.
+        spans: serialized :class:`repro.obs.tracer.Span` trees the
+            chunk recorded (empty unless tracing was enabled); the
+            executor grafts them back into the parent's trace in
+            chunk submission order.
+        coverage: the chunk's serialized
+            :class:`repro.obs.coverage.CoverageRecorder` payload
+            (``None`` unless coverage recording was enabled); the
+            executor folds it into the parent's recorder.
+    """
+
+    worker: int
+    items: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    rewrite_steps: int = 0
+    dispatch_hits: int = 0
+    interned_terms: int = 0
+    wall_time: float = 0.0
+    spans: tuple = ()
+    coverage: dict | None = None
+
+    def to_dict(self) -> dict:
+        """The chunk's counters and wall time, JSON-serializable (span
+        buffers and coverage payloads travel separately)."""
+        return {
+            "worker": self.worker,
+            "items": self.items,
+            "cache_hits": self.cache_hits,
+            "cache_misses": self.cache_misses,
+            "rewrite_steps": self.rewrite_steps,
+            "dispatch_hits": self.dispatch_hits,
+            "interned_terms": self.interned_terms,
+            "wall_time": self.wall_time,
+        }
 
 #: The shared context slot worker processes inherit through fork.
 _CONTEXT: Any = None

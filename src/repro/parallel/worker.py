@@ -21,7 +21,7 @@ listens on a TCP port, speaks the length-prefixed JSON frames of
     (``repro.`` by default), against the session's context.  The
     request carries the client's tracing/coverage flags; span buffers
     and coverage payloads travel back inside the pickled
-    :class:`~repro.parallel.stats.WorkerStats`.
+    :class:`~repro.parallel.executor.WorkerStats`.
 ``telemetry``
     The worker's live telemetry snapshot (per-op and bundle-load
     latency histograms, chunk rates, bundle cache hit/miss counters,

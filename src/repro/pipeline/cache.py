@@ -2,9 +2,9 @@
 
 Every cache entry is one JSON file under the cache directory, named
 ``<check>-<fingerprint-prefix>.json`` and carrying the full
-fingerprint, the serialized report, the check's
-:class:`~repro.parallel.stats.VerificationStats` records, and its
-span-counter totals.  A lookup hits only when the stored format
+fingerprint, the serialized report, the check's span-counter totals
+and wall time (from which a replay rebuilds its stats record), and
+its coverage payload.  A lookup hits only when the stored format
 version and full fingerprint match; anything else — unreadable JSON,
 a truncated write, an entry produced by an older format — is treated
 as a miss and never raises.
@@ -32,7 +32,6 @@ from repro.algebraic.completeness import (
 )
 from repro.algebraic.induction import InductionReport
 from repro.algebraic.observation import ObservabilityReport
-from repro.parallel.stats import VerificationStats
 from repro.refinement.first_second import (
     StaticConsistencyReport,
     TransitionConsistencyReport,
@@ -44,8 +43,10 @@ __all__ = ["ResultCache", "serialize_result", "deserialize_result"]
 
 #: Entry format version; bump on any incompatible layout change so
 #: stale files stop matching instead of deserializing wrongly.
-#: Format 2 added the per-check ``coverage`` payload.
-CACHE_FORMAT = 2
+#: Format 2 added the per-check ``coverage`` payload; format 3 dropped
+#: the ``stats`` records (a replay reads its record off ``counters``
+#: and ``wall_time``).
+CACHE_FORMAT = 3
 
 
 # ---------------------------------------------------------------------
@@ -233,7 +234,6 @@ class ResultCache:
         fingerprint: str,
         kind: str | None,
         report_payload: dict | None,
-        stats_parts: tuple[VerificationStats, ...] = (),
         counters: dict[str, int] | None = None,
         wall_time: float = 0.0,
         coverage: dict | None = None,
@@ -249,7 +249,6 @@ class ResultCache:
             "fingerprint": fingerprint,
             "kind": kind,
             "report": report_payload,
-            "stats": [part.to_dict() for part in stats_parts],
             "counters": counters,
             "wall_time": wall_time,
             "coverage": coverage,
@@ -267,60 +266,6 @@ class ResultCache:
             pass
 
     # ------------------------------------------------------------------
-    # named artifacts (non-report blobs, e.g. the delta explorer's
-    # edge memo; the name itself carries the content key)
-    # ------------------------------------------------------------------
-    def load_artifact(self, name: str) -> dict | None:
-        """The stored artifact payload for ``name``, or ``None``.
-
-        Same tolerance as :meth:`load`: anything unreadable, stale, or
-        mislabeled is a miss, never fatal.
-        """
-        path = self.root / f"{name}.json"
-        try:
-            with open(path, encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if (
-            not isinstance(entry, dict)
-            or entry.get("format") != CACHE_FORMAT
-            or entry.get("node") != name
-            or entry.get("kind") != "artifact"
-            or not isinstance(entry.get("artifact"), dict)
-        ):
-            return None
-        return entry["artifact"]
-
-    def store_artifact(self, name: str, payload: dict) -> None:
-        """Persist a named artifact blob (atomic write via rename;
-        failures are swallowed like :meth:`store`)."""
-        entry = {
-            "format": CACHE_FORMAT,
-            "node": name,
-            "kind": "artifact",
-            "artifact": payload,
-        }
-        path = self.root / f"{name}.json"
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            temp = path.with_suffix(".json.tmp")
-            with open(temp, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, indent=2)
-                handle.write("\n")
-            os.replace(temp, path)
-        except OSError:
-            pass
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def entry_stats(entry: dict) -> tuple[VerificationStats, ...]:
-        """The replayed stats records of a loaded entry."""
-        return tuple(
-            VerificationStats.from_dict(part)
-            for part in entry.get("stats", ())
-        )
-
     @staticmethod
     def entry_counters(entry: dict) -> dict[str, int] | None:
         """The replayed span-counter totals of a loaded entry."""

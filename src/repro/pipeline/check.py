@@ -27,12 +27,12 @@ class CheckRun:
         result: the check's report object (``None`` for a pure
             resource producer whose value lives in the context, or for
             a skipped optional check).
-        stats_parts: the :class:`~repro.parallel.stats.VerificationStats`
-            records the check appended, in emission order.
         counters: span-counter totals recorded under the check's span
-            subtree (``None`` when observability capture was off and
-            caching did not request it).
-        wall_time: seconds the execution took.
+            subtree (``None`` when tracing was off and no cache was
+            attached); with :attr:`wall_time`, the check's
+            :class:`~repro.obs.stats.VerificationStats` record.
+        wall_time: seconds the execution took (a cache replay carries
+            the stored execution's).
         skipped: True when an optional check declined to run (e.g. the
             inductive proof on an over-large abstract space).
         coverage: the check's isolated
@@ -44,7 +44,6 @@ class CheckRun:
     """
 
     result: Any
-    stats_parts: tuple = ()
     counters: dict[str, int] | None = None
     wall_time: float = 0.0
     skipped: bool = False
@@ -70,7 +69,7 @@ class Check:
             context (e.g. ``"graph"``), or ``None``.
         cache_kind: serializer kind for
             :mod:`repro.pipeline.cache` (``None`` = result is never
-            cached; stats may still be).
+            cached; counters and wall time still are).
         span_name: span the scheduler opens around the runner; ``None``
             when the runner's own instrumentation already opens the
             canonical span (the hit path then uses ``name``).

@@ -17,27 +17,30 @@ misses:
 * **fail-fast** stops at the first failing check and marks the rest
   aborted (fan-out is disabled so the stop point is deterministic).
 
-Cache hits *replay*: the stored report is rebuilt, the stored
-:class:`~repro.parallel.stats.VerificationStats` parts re-enter the
-bundle, and the stored span-counter totals are recorded on a
-``cached=True`` span — so a warm run's ``--stats-json`` and
-``--metrics-json`` are byte-identical to the cold run that populated
-the cache.
+Every executed check keeps the span-counter totals it recorded and its
+wall time (a :class:`~repro.pipeline.check.CheckRun`) whenever tracing
+is on or a cache is attached; :meth:`PipelineResult.stats_parts` reads
+one :class:`~repro.obs.stats.VerificationStats` record per check off
+them.  Cache hits *replay*: the stored report is rebuilt, and the
+stored counters and wall time are recorded on a ``cached=True`` span —
+so a warm run's ``--stats-json`` and ``--metrics-json`` are
+byte-identical to the cold run that populated the cache.
 
 Resource nodes (``explore``) are demand-driven: they execute only when
-a dependent missed; on an all-hit run only their stats record is
-replayed and the state graph is never rebuilt — that is where the
-warm-run speedup comes from.
+a dependent missed; on an all-hit run only their counters and wall
+time are replayed and the state graph is never rebuilt — that is where
+the warm-run speedup comes from.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.obs.coverage import COV_STATE, capture_coverage
+from repro.obs.stats import VerificationStats
 from repro.obs.telemetry import TEL_STATE as _TEL
 from repro.obs.tracer import (
     OBS_STATE,
@@ -48,7 +51,6 @@ from repro.obs.tracer import (
 )
 from repro.parallel.backends import use_backend
 from repro.parallel.executor import ParallelExecutor
-from repro.parallel.stats import VerificationStats
 from repro.pipeline.cache import ResultCache, deserialize_result, serialize_result
 from repro.pipeline.check import Check, CheckRun
 from repro.pipeline.fingerprint import combine_fingerprint, framework_parts
@@ -174,22 +176,25 @@ class PipelineResult:
         return execution.run.result
 
     def stats_parts(self) -> list[VerificationStats]:
-        """Every stats record, in schedule (= old emission) order."""
-        parts: list[VerificationStats] = []
-        for execution in self.executions:
-            if execution.run is not None:
-                parts.extend(execution.run.stats_parts)
-        return parts
+        """One record per executed or replayed check, in schedule
+        order, read off its span counters and wall time (the counters
+        are empty unless the run was traced or cached)."""
+        return [
+            VerificationStats.of_check(
+                execution.name, execution.run.counters, execution.run.wall_time
+            )
+            for execution in self.executions
+            if execution.run is not None
+        ]
 
     def combined_stats(self, label: str = "verify") -> VerificationStats:
-        """One bundle over every part (the report's ``stats`` field).
+        """One bundle over every check's record.
 
-        Every part ran in one process and reports ``workers=1``; the
+        Every check ran in one process and reports ``workers=1``; the
         bundle carries the worker count the run was requested with.
         """
-        return replace(
-            VerificationStats.combine(label, self.stats_parts()),
-            workers=self.workers,
+        return VerificationStats.combine(
+            label, self.stats_parts(), workers=self.workers
         )
 
     def summary(self) -> str:
@@ -216,13 +221,15 @@ class PipelineResult:
 # execution helpers (module-level: the fan-out path forks them)
 # ---------------------------------------------------------------------
 def _execute_check(check: Check, ctx: PipelineContext, want_counters: bool) -> CheckRun:
-    """Run one check, under its declared span, optionally collecting
-    the span-counter totals it recorded (for the cache replay path).
+    """Run one check, under its declared span, collecting the
+    span-counter totals it recorded when tracing is on or
+    ``want_counters`` asks (a cache stores them).
 
     When counters are wanted but tracing is off, the check runs under
     a throwaway activated tracer so the counters exist to store.
     """
     started = time.perf_counter()
+    want_counters = want_counters or OBS_STATE.enabled
     own_tracer = Tracer() if (want_counters and not OBS_STATE.enabled) else None
     activation = activate(own_tracer) if own_tracer is not None else nullcontext()
     # Each check records into its own fresh recorder (folded into the
@@ -258,7 +265,6 @@ def _execute_check(check: Check, ctx: PipelineContext, want_counters: bool) -> C
                 counters = dict(totals)
     return CheckRun(
         result=run.result,
-        stats_parts=run.stats_parts,
         counters=counters,
         wall_time=time.perf_counter() - started,
         skipped=run.skipped,
@@ -349,10 +355,6 @@ class Scheduler:
         overrides: dict[str, dict] | None,
     ) -> PipelineResult:
         cache = self.cache
-        if cache is not None:
-            # Resource nodes may thread non-report artifacts (the
-            # delta explorer's edge memo) through the same cache.
-            ctx.resources["result_cache"] = cache
         selection = self.graph.select(only, skip)
         checks = {
             name: self.graph[name].with_params(
@@ -454,10 +456,8 @@ class Scheduler:
                 # checks run beside the graph-bound ones; this process
                 # is one of the ``workers``.  The executor resolves to
                 # the run's backend (the use_backend scope around this
-                # selection); the virtual-worker model prices each
-                # fanned check from a cold bundle of this context,
-                # keeping the stats replayed by the cache
-                # backend-independent.
+                # selection); the virtual-worker model runs each
+                # fanned check from a cold bundle of this context.
                 executor = ParallelExecutor(
                     min(ctx.workers - 1, len(fanout)),
                     context=(ctx, checks, want_counters),
@@ -548,8 +548,8 @@ class Scheduler:
         self._store(check, fingerprint, run)
 
     def _replay(self, check: Check, entry: dict) -> CheckRun:
-        """Rebuild a cached check: report object, stats records, and
-        span counters, without running anything."""
+        """Rebuild a cached check: report object, span counters and
+        wall time, without running anything."""
         if OBS_STATE.enabled:
             _count("pipeline.cache.hits", 1)
         result = None
@@ -572,9 +572,8 @@ class Scheduler:
                 span.record(counters)
         return CheckRun(
             result=result,
-            stats_parts=ResultCache.entry_stats(entry),
             counters=counters,
-            wall_time=0.0,
+            wall_time=float(entry.get("wall_time", 0.0)),
             skipped=bool(
                 isinstance(entry.get("report"), dict)
                 and entry["report"].get("skipped")
@@ -599,7 +598,6 @@ class Scheduler:
             fingerprint,
             check.cache_kind,
             payload,
-            stats_parts=run.stats_parts,
             counters=run.counters,
             wall_time=run.wall_time,
             coverage=run.coverage,

@@ -29,7 +29,6 @@ compilable fragment.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.algebraic.algebra import (
@@ -53,14 +52,8 @@ from repro.logic.signature import PredicateSymbol
 from repro.logic.sorts import STATE, Sort
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Term, Var
+from repro.obs.stats import counter_delta, engine_counters
 from repro.obs.tracer import count as _count, span as _span
-from repro.parallel.stats import (
-    StatsSink,
-    VerificationStats,
-    WorkerStats,
-    counter_delta,
-    engine_counters,
-)
 from repro.refinement.compiled import (
     StructureMap,
     compile_or_fallback,
@@ -149,7 +142,6 @@ def check_static_consistency(
     algebra: TraceAlgebra,
     interpretation: Interpretation,
     graph: StateGraph | None = None,
-    stats: StatsSink | None = None,
 ) -> StaticConsistencyReport:
     """Check G ⊆ V: every reachable state satisfies every static
     constraint (Section 4.4b).
@@ -157,13 +149,9 @@ def check_static_consistency(
     Each state's M(snapshot) is checked by the compiled constraints;
     the reference path realizes the witness trace as a structure and
     decides the generic satisfaction relation.
-
-    Args:
-        stats: optional sink receiving one ``"static"`` record.
     """
-    started = time.perf_counter()
     if graph is None:
-        graph = algebra.explore(stats=stats)
+        graph = algebra.explore()
     violations: list[tuple[Term, str]] = []
     with _span("static") as obs_span:
         before = engine_counters(algebra.engine)
@@ -184,22 +172,14 @@ def check_static_consistency(
                 axioms = [str(axiom) for axiom, _ in report.violations]
             for axiom in axioms:
                 violations.append((trace, axiom))
-        delta = counter_delta(
-            before, engine_counters(algebra.engine), len(graph.states)
+        obs_span.record(
+            counter_delta(
+                before, engine_counters(algebra.engine), len(graph.states)
+            )
         )
-        obs_span.record(delta)
         obs_span.count("static.violations", len(violations))
         if fallback is not None:
             obs_span.count(f"static.fallback.{fallback}")
-    if stats is not None:
-        record = WorkerStats(
-            worker=0, wall_time=time.perf_counter() - started, **delta
-        )
-        stats.add(
-            VerificationStats.merge(
-                "static", 1, [record], time.perf_counter() - started
-            )
-        )
     return StaticConsistencyReport(
         ok=not violations,
         states_checked=len(graph.states),
@@ -352,7 +332,6 @@ def check_transition_consistency(
     algebra: TraceAlgebra,
     interpretation: Interpretation,
     graph: StateGraph | None = None,
-    stats: StatsSink | None = None,
 ) -> TransitionConsistencyReport:
     """Check (d): every update edge of the reachable state graph is an
     acceptable transition of the information-level theory.
@@ -362,13 +341,9 @@ def check_transition_consistency(
     by the compiled constraints on the two states' M(snapshot); the
     reference path realizes every state as a structure and decides the
     constraints in the two-state universe.
-
-    Args:
-        stats: optional sink receiving one ``"transitions"`` record.
     """
-    started = time.perf_counter()
     if graph is None:
-        graph = algebra.explore(stats=stats)
+        graph = algebra.explore()
     with _span("transitions") as obs_span:
         counters_before = engine_counters(algebra.engine)
         compiled, fallback = _compile_states(
@@ -411,26 +386,18 @@ def check_transition_consistency(
                     )
                 for axiom in axioms:
                     violations.append((transition, axiom))
-        delta = counter_delta(
-            counters_before,
-            engine_counters(algebra.engine),
-            len(graph.transitions),
+        obs_span.record(
+            counter_delta(
+                counters_before,
+                engine_counters(algebra.engine),
+                len(graph.transitions),
+            )
         )
-        obs_span.record(delta)
         obs_span.count("transitions.edges", len(graph.transitions))
         obs_span.count("transitions.edge_checks", len(verdicts))
         obs_span.count("transitions.violations", len(violations))
         if fallback is not None:
             obs_span.count(f"transitions.fallback.{fallback}")
-    if stats is not None:
-        record = WorkerStats(
-            worker=0, wall_time=time.perf_counter() - started, **delta
-        )
-        stats.add(
-            VerificationStats.merge(
-                "transitions", 1, [record], time.perf_counter() - started
-            )
-        )
     return TransitionConsistencyReport(
         ok=not violations,
         transitions_checked=len(graph.transitions),
@@ -499,7 +466,6 @@ def check_refinement(
     interpretation: Interpretation | None = None,
     completeness_depth: int = 2,
     max_states: int = 100_000,
-    stats: StatsSink | None = None,
 ) -> FirstToSecondReport:
     """Run the entire Section 4.4 proof plan mechanically.
 
@@ -512,24 +478,23 @@ def check_refinement(
         completeness_depth: trace depth for the coverage half of the
             sufficient-completeness check.
         max_states: exploration bound for the state graph.
-        stats: optional sink receiving one record per sub-check.
     """
     if interpretation is None:
         interpretation = Interpretation.homonym(
             information, algebra.signature
         )
-    graph = algebra.explore(max_states=max_states, stats=stats)
+    graph = algebra.explore(max_states=max_states)
     completeness = check_sufficient_completeness(
-        algebra.spec, depth=completeness_depth, stats=stats
+        algebra.spec, depth=completeness_depth
     )
     static = check_static_consistency(
-        information, carriers, algebra, interpretation, graph, stats=stats
+        information, carriers, algebra, interpretation, graph
     )
     inclusion = compare_valid_reachable(
-        information, carriers, algebra, interpretation, graph, stats=stats
+        information, carriers, algebra, interpretation, graph
     )
     transitions = check_transition_consistency(
-        information, carriers, algebra, interpretation, graph, stats=stats
+        information, carriers, algebra, interpretation, graph
     )
     return FirstToSecondReport(completeness, static, inclusion, transitions)
 

@@ -28,7 +28,7 @@ reference paths.
 from __future__ import annotations
 
 import itertools
-import time
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -39,14 +39,8 @@ from repro.information.spec import InformationSpec
 from repro.logic.sorts import Sort
 from repro.logic.structures import Structure
 from repro.logic.terms import Term
-from repro.obs.tracer import span as _span
-from repro.parallel.stats import (
-    StatsSink,
-    VerificationStats,
-    WorkerStats,
-    counter_delta,
-    engine_counters,
-)
+from repro.obs.stats import counter_delta, engine_counters
+from repro.obs.tracer import count as _count, record as _record, span as _span
 from repro.refinement.compiled import (
     StructureMap,
     compile_or_fallback,
@@ -121,17 +115,15 @@ def reachable_structures(
     algebra: TraceAlgebra,
     interpretation: Interpretation,
     graph: StateGraph | None = None,
-    stats: StatsSink | None = None,
 ) -> dict[Structure, Term]:
     """The set G as level-1 structures, each with a witness trace.
 
     Args:
         graph: a previously computed state graph; explored fresh when
             omitted.
-        stats: optional sink receiving one ``"reachable"`` record.
     """
     return _reachable(
-        information, carriers, algebra, interpretation, graph, stats
+        information, carriers, algebra, interpretation, graph
     )[0]
 
 
@@ -141,13 +133,13 @@ def _reachable(
     algebra: TraceAlgebra,
     interpretation: Interpretation,
     graph: StateGraph | None,
-    stats: StatsSink | None,
 ) -> tuple[dict[Structure, Term], str | None]:
     """:func:`reachable_structures`, with the reason the compiled
-    structure map was not used (``None`` when it was)."""
-    started = time.perf_counter()
+    structure map was not used (``None`` when it was).  The rewrite
+    work and the states realized (``items``) are counted on the active
+    span."""
     if graph is None:
-        graph = algebra.explore(stats=stats)
+        graph = algebra.explore()
     before = engine_counters(algebra.engine)
     structure_map, fallback = compile_or_fallback(
         lambda: StructureMap(information, carriers, algebra, interpretation)
@@ -163,19 +155,11 @@ def _reachable(
                 information, carriers, algebra, trace
             )
         out.setdefault(structure, trace)
-    if stats is not None:
-        record = WorkerStats(
-            worker=0,
-            wall_time=time.perf_counter() - started,
-            **counter_delta(
-                before, engine_counters(algebra.engine), len(graph.states)
-            ),
+    _record(
+        counter_delta(
+            before, engine_counters(algebra.engine), len(graph.states)
         )
-        stats.add(
-            VerificationStats.merge(
-                "reachable", 1, [record], time.perf_counter() - started
-            )
-        )
+    )
     return out, fallback
 
 
@@ -262,11 +246,11 @@ class InclusionReport:
 def _valid_structure_list(
     information: InformationSpec,
     carriers: dict[Sort, list[str]],
-    stats: StatsSink | None,
 ) -> tuple[list[Structure], str | None]:
     """The set V in enumeration order, with the reason the compiled
-    constraints were not used (``None`` when they were)."""
-    started = time.perf_counter()
+    constraints were not used (``None`` when they were).  The
+    candidate structures enumerated are counted as ``items`` on the
+    active span."""
     try:
         constraints = compile_static(information, carriers)
     except UnsupportedTermError:
@@ -283,21 +267,12 @@ def _valid_structure_list(
             )
             if all(holds((extensions,)) for _, holds in constraints)
         ]
-    if stats is not None:
-        total = 1
-        for space in _subset_spaces(information, carriers):
-            total *= len(space)
-        record = WorkerStats(
-            worker=0, items=total, wall_time=time.perf_counter() - started
-        )
-        stats.add(
-            VerificationStats.merge(
-                "valid-enumeration",
-                1,
-                [record],
-                time.perf_counter() - started,
-            )
-        )
+    # Each predicate's subset space holds 2^|rows| extensions.
+    rows = sum(
+        math.prod(len(carriers[sort]) for sort in predicate.arg_sorts)
+        for predicate in information.db_predicates
+    )
+    _count("items", 1 << rows)
     return structures, fallback
 
 
@@ -307,30 +282,21 @@ def compare_valid_reachable(
     algebra: TraceAlgebra,
     interpretation: Interpretation,
     graph: StateGraph | None = None,
-    stats: StatsSink | None = None,
 ) -> InclusionReport:
     """Decide both inclusions of Sections 4.4b and 4.4c exhaustively.
 
     Witnesses of V ⊄ G are listed in enumeration order.
-
-    Args:
-        stats: optional sink receiving one record per phase.
     """
     if graph is None:
-        graph = algebra.explore(stats=stats)
+        graph = algebra.explore()
     with _span("inclusion") as obs_span:
         with _span("inclusion.reachable"):
             reachable, reachable_fallback = _reachable(
-                information,
-                carriers,
-                algebra,
-                interpretation,
-                graph,
-                stats,
+                information, carriers, algebra, interpretation, graph
             )
         with _span("inclusion.valid-enumeration"):
             valid, valid_fallback = _valid_structure_list(
-                information, carriers, stats
+                information, carriers
             )
         valid_set = set(valid)
         obs_span.count("inclusion.reachable_states", len(reachable))

@@ -35,7 +35,7 @@ Three kinds of auxiliary tables complete the schema:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import RelationalError
 from repro.algebraic.compiler import Cell

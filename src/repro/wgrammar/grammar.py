@@ -36,7 +36,7 @@ device for context conditions such as ``where NAME in DECLS``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from repro.errors import WGrammarError
@@ -397,8 +397,7 @@ class WGrammar:
                 undecidable in general, so a budget is mandatory.
             counters: optional dict receiving the recognizer's work
                 counters (``steps``, ``memo_entries``, ``memo_hits``)
-                so callers can route them into a stats sink even when
-                tracing is disabled.
+                for the caller to record.
         """
         recognizer = _Recognizer(self, tuple(tokens), max_steps)
         accepted = len(tokens) in recognizer.parse(self.start, 0)

@@ -682,7 +682,7 @@ def check_schema_source(
     Args:
         counters: optional dict receiving the recognizer's work
             counters (``steps``, ``memo_entries``, ``memo_hits``) for
-            the caller's stats sink.
+            the caller to record (the grammar check's statistics).
 
     Raises:
         WGrammarError: if the source declares scalar/constant program

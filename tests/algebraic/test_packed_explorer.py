@@ -1,11 +1,9 @@
-"""Differential and delta guarantees of the packed explorer.
+"""Differential guarantees of the packed explorer.
 
 The packed value-row BFS must be observationally indistinguishable
 from the object-path BFS on every application — same snapshot
 discovery order, identical witness-trace objects, equal transition
-lists, same truncation — and a delta re-run after a single-equation
-edit must re-visit only a small fraction of states while producing a
-graph equal to a fresh full explore of the edited specification.
+lists, same truncation.
 """
 
 import pytest
@@ -62,85 +60,6 @@ class TestDifferentialByteIdentity:
     @pytest.mark.parametrize("app", ["courses", "bank"])
     def test_depth_bounded_graph_matches_object_path(self, app):
         _assert_identical(APPS[app](), max_depth=2)
-
-    def test_packed_run_emits_artifact_object_run_does_not(self):
-        spec = courses_algebraic()
-        packed = TraceAlgebra(spec).explore()
-        plain = TraceAlgebra(spec, packed=False).explore()
-        assert packed.artifact is not None
-        assert packed.delta is not None
-        assert plain.artifact is None
-
-
-def _edit_close_account(spec):
-    """Rebuild the bank spec with exactly one equation changed: the
-    ``open`` observation of ``close_account`` keeps the account open
-    (a semantics change confined to one (query, update) pair)."""
-    victims = spec.equations_for("open", "close_account")
-    assert victims
-    victim = victims[0]
-    edited = ConditionalEquation(
-        victim.lhs,
-        spec.signature.true(),
-        victim.condition,
-        f"{victim.label}-edited",
-    )
-    equations = tuple(
-        edited if equation is victim else equation
-        for equation in spec.equations
-    )
-    assert equations != spec.equations
-    return AlgebraicSpec(spec.signature, equations, name=spec.name)
-
-
-class TestDeltaReexploration:
-    def test_unchanged_rerun_replays_everything(self):
-        algebra = TraceAlgebra(bank_algebraic())
-        first = algebra.explore()
-        again = algebra.explore(edge_cache=first.artifact)
-        assert again == first
-        assert again.delta["used_cache"]
-        assert again.delta["reexplored_states"] == 0
-        assert again.delta["recomputed_transitions"] == 0
-        assert again.delta["cached_transitions"] == len(again.transitions)
-
-    def test_single_equation_edit_revisits_under_20_percent(self):
-        spec = bank_algebraic()
-        artifact = TraceAlgebra(spec).explore().artifact
-        edited = _edit_close_account(spec)
-        delta = TraceAlgebra(edited).explore(edge_cache=artifact)
-        fresh = TraceAlgebra(edited).explore()
-        # The delta run's graph is the edited spec's graph, exactly.
-        assert delta == fresh
-        assert list(delta.states) == list(fresh.states)
-        stats = delta.delta
-        assert stats["used_cache"]
-        # Only states the old artifact never saw are re-explored.
-        assert stats["reexplored_states"] / len(delta.states) < 0.2
-        # The three untouched updates replay from the memo; only the
-        # edited update's instances are recomputed.
-        assert stats["cached_transitions"] > 0
-        assert stats["recomputed_transitions"] > 0
-        assert stats["recomputed_transitions"] < len(delta.transitions)
-
-    def test_stale_artifact_degrades_to_full_explore(self):
-        bank = TraceAlgebra(bank_algebraic())
-        foreign = TraceAlgebra(courses_algebraic()).explore().artifact
-        graph = bank.explore(edge_cache=foreign)
-        assert graph == TraceAlgebra(bank_algebraic(), packed=False).explore()
-        assert not graph.delta["used_cache"]
-
-    def test_corrupt_artifact_degrades_to_full_explore(self):
-        algebra = TraceAlgebra(bank_algebraic())
-        expected = algebra.explore()
-        for garbage in (
-            {"format": 999},
-            {"format": 1, "signature": "nope"},
-            {"hello": "world"},
-        ):
-            graph = algebra.explore(edge_cache=garbage)
-            assert graph == expected
-            assert not graph.delta["used_cache"]
 
 
 def _incomplete_spec() -> AlgebraicSpec:

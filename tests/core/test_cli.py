@@ -115,17 +115,20 @@ class TestObservabilityFlags:
         payload = json.loads(path.read_text())
         counters, gauges = payload["counters"], payload["gauges"]
         for name in (
-            "verify.items",
-            "rewrite.cache.hits",
-            "rewrite.cache.misses",
-            "rewrite.dispatch.hits",
-            "kernel.interned_terms",
+            "items",
+            "cache_hits",
+            "cache_misses",
+            "dispatch_hits",
+            "interned_terms",
             "rewrite.evaluate.calls",
             "wgrammar.steps",
+            "check.completeness.items",
+            "check.congruence.algebra.snapshots",
         ):
             assert name in counters, name
         for name in (
             "verify.wall_time",
+            "check.agreement.wall_time",
             "kernel.intern_table.size",
         ):
             assert name in gauges, name
@@ -149,21 +152,17 @@ class TestObservabilityFlags:
 
 
 class TestKernelStatsFields:
-    def test_stats_line_reports_arena_and_delta(self, capsys):
+    def test_stats_line_reports_arena(self, capsys):
         assert main(["verify", "library", "--quiet", "--stats"]) == 0
         out = capsys.readouterr().out
         kernel_lines = [
             line for line in out.splitlines() if "[kernel]" in line
         ]
         assert kernel_lines
-        for field in (
-            "arena_terms=",
-            "arena_bytes=",
-            "delta_reexplored_states=",
-        ):
+        for field in ("arena_terms=", "arena_bytes="):
             assert all(field in line for line in kernel_lines), field
 
-    def test_metrics_json_reports_arena_and_delta(self, tmp_path):
+    def test_metrics_json_reports_arena(self, tmp_path):
         import json
 
         path = tmp_path / "metrics.json"
@@ -174,13 +173,79 @@ class TestKernelStatsFields:
             ]
         ) == 0
         gauges = json.loads(path.read_text())["gauges"]
-        for name in (
-            "kernel.arena.terms",
-            "kernel.arena.bytes",
-            "kernel.delta.reexplored_states",
-            "kernel.delta.cached_transitions",
-        ):
+        for name in ("kernel.arena.terms", "kernel.arena.bytes"):
             assert name in gauges, name
+
+
+#: The checks of the framework graph, in schedule order.
+CHECKS = [
+    "explore",
+    "completeness",
+    "static",
+    "inclusion",
+    "transitions",
+    "induction",
+    "congruence",
+    "grammar",
+    "second-third",
+    "agreement",
+]
+
+#: The checks a run with more than one worker fans out.
+FANNED = ["induction", "congruence", "grammar", "agreement"]
+
+
+def _stats_json(tmp_path, app, *flags):
+    import json
+
+    path = tmp_path / "stats.json"
+    assert main(
+        ["verify", app, "--quiet", "--stats-json", str(path), *flags]
+    ) == 0
+    return json.loads(path.read_text())
+
+
+class TestStatsRecords:
+    """``--stats``/``--stats-json`` read one record per check off the
+    span tree."""
+
+    @pytest.mark.parametrize("app", list(APPLICATIONS))
+    def test_one_part_per_check_in_schedule_order(self, app, tmp_path):
+        bundle = _stats_json(tmp_path, app)
+        parts = bundle["parts"]
+        assert [part["label"] for part in parts] == CHECKS
+        assert all(part["wall_time"] > 0 for part in parts)
+        assert bundle["wall_time"] == pytest.approx(
+            sum(part["wall_time"] for part in parts)
+        )
+
+    def test_stats_lines_cover_every_check(self, capsys):
+        assert main(["verify", "courses", "--quiet", "--stats"]) == 0
+        labels = [
+            line.split("]")[0].strip().lstrip("[")
+            for line in capsys.readouterr().out.splitlines()
+            if " workers=" in line
+        ]
+        assert labels == [*CHECKS, "verify"]
+
+    def test_fanned_out_records_do_not_depend_on_workers(
+        self, tmp_path
+    ):
+        def fanned(bundle):
+            return {
+                part["label"]: {
+                    key: value
+                    for key, value in part.items()
+                    if key != "wall_time"
+                }
+                for part in bundle["parts"]
+                if part["label"] in FANNED
+            }
+
+        serial = _stats_json(tmp_path, "library")
+        forked = _stats_json(tmp_path, "library", "--workers", "2")
+        assert list(fanned(serial)) == FANNED
+        assert fanned(forked) == fanned(serial)
 
 
 class TestWorkerCountReporting:

@@ -1,42 +1,36 @@
-"""Tests for the metrics registry and its stats/tracer bridges."""
+"""Tests for the metrics registry and its pipeline/tracer bridges."""
 
 import json
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
-from repro.parallel.stats import VerificationStats
+from repro.pipeline.check import CheckRun
+from repro.pipeline.scheduler import NodeExecution, PipelineResult
 
 
-def _stats():
-    explore = VerificationStats(
-        label="explore",
+def _result():
+    """A two-check pipeline run, as the scheduler records it."""
+
+    def execution(name, counters, wall_time):
+        run = CheckRun(result=None, counters=counters, wall_time=wall_time)
+        return NodeExecution(name, name, "ran", None, run, True)
+
+    return PipelineResult(
+        [
+            execution(
+                "explore",
+                {"items": 25, "cache_hits": 100, "explore.states": 25},
+                0.5,
+            ),
+            execution(
+                "completeness",
+                {"items": 273, "cache_hits": 10},
+                0.25,
+            ),
+            NodeExecution("grammar", "grammar", "aborted", None, None, True),
+        ],
+        ("explore", "completeness", "grammar"),
         workers=2,
-        states_checked=25,
-        cache_hits=100,
-        cache_misses=40,
-        rewrite_steps=60,
-        dispatch_hits=90,
-        interned_terms=30,
-        wall_time=0.5,
-    )
-    coverage = VerificationStats(
-        label="coverage",
-        workers=2,
-        states_checked=273,
-        cache_hits=10,
-        wall_time=0.25,
-    )
-    return VerificationStats(
-        label="verify",
-        workers=2,
-        states_checked=298,
-        cache_hits=110,
-        cache_misses=40,
-        rewrite_steps=60,
-        dispatch_hits=90,
-        interned_terms=30,
-        wall_time=0.75,
-        parts=(explore, coverage),
     )
 
 
@@ -85,24 +79,32 @@ class TestRegistryBasics:
 class TestStatsBridge:
     def test_record_verification_maps_the_flat_names(self):
         registry = MetricsRegistry()
-        registry.record_verification(_stats())
-        assert registry.counters["verify.items"] == 298
-        assert registry.counters["rewrite.cache.hits"] == 110
-        assert registry.counters["rewrite.cache.misses"] == 40
-        assert registry.counters["rewrite.steps"] == 60
-        assert registry.counters["rewrite.dispatch.hits"] == 90
-        assert registry.counters["kernel.interned_terms"] == 30
+        registry.record_verification(_result())
         assert registry.gauges["verify.wall_time"] == 0.75
         assert registry.gauges["verify.workers"] == 2
 
+    def test_record_verification_adds_up_over_applications(self):
+        registry = MetricsRegistry()
+        registry.record_verification(_result())
+        registry.record_verification(_result())
+        assert registry.counters["check.explore.items"] == 50
+        assert registry.gauges["check.explore.wall_time"] == 1.0
+        assert registry.gauges["verify.wall_time"] == 1.5
+
     def test_record_verification_keeps_per_check_parts(self):
         registry = MetricsRegistry()
-        registry.record_verification(_stats())
-        assert registry.counters["check.explore.items"] == 25
-        assert registry.counters["check.explore.rewrite.cache.hits"] == 100
-        assert registry.counters["check.coverage.items"] == 273
+        registry.record_verification(_result())
+        assert registry.counters == {
+            "check.explore.items": 25,
+            "check.explore.cache_hits": 100,
+            "check.explore.explore.states": 25,
+            "check.completeness.items": 273,
+            "check.completeness.cache_hits": 10,
+        }
         assert registry.gauges["check.explore.wall_time"] == 0.5
-        assert registry.gauges["check.coverage.wall_time"] == 0.25
+        assert registry.gauges["check.completeness.wall_time"] == 0.25
+        # An aborted check has no run, hence no record.
+        assert "check.grammar.wall_time" not in registry.gauges
 
     def test_record_kernel_gauges_the_intern_tables(self):
         from repro.logic.terms import intern_stats, intern_table_size

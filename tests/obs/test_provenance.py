@@ -1,5 +1,7 @@
 """Provenance records and minimal counterexample rendering."""
 
+import pytest
+
 from repro.cli import APPLICATIONS
 from repro.core.framework import DesignFramework
 from repro.obs.coverage import CoverageRecorder, activate_coverage
@@ -66,6 +68,51 @@ class TestTracePeeling:
         # Without one, only the update names appear.
         bare = render_counterexample(witness)
         assert "{" not in bare
+
+    def test_spec_error_degrades_the_snapshot_line(self, monkeypatch):
+        from repro.errors import IncompletenessError
+
+        framework = APPLICATIONS["courses"]()
+        graph = framework.verify_pipeline(only=["explore"]).result_of(
+            "explore"
+        )
+        algebra = framework.algebra()
+
+        def incomplete(trace):
+            raise IncompletenessError("no equation applies")
+
+        monkeypatch.setattr(algebra, "snapshot", incomplete)
+        witness = _deepest_witness(graph)
+        assert render_counterexample(witness, algebra) == (
+            render_counterexample(witness)
+        )
+
+    def test_bug_while_rendering_a_snapshot_propagates(self, monkeypatch):
+        framework = APPLICATIONS["courses"]()
+        graph = framework.verify_pipeline(only=["explore"]).result_of(
+            "explore"
+        )
+        algebra = framework.algebra()
+
+        def broken(trace):
+            raise RuntimeError("snapshot bug")
+
+        monkeypatch.setattr(algebra, "snapshot", broken)
+        with pytest.raises(RuntimeError, match="snapshot bug"):
+            render_counterexample(_deepest_witness(graph), algebra)
+
+    def test_bug_in_the_graph_provider_propagates(self):
+        from repro.refinement.first_second import (
+            TransitionConsistencyReport,
+        )
+
+        failed = TransitionConsistencyReport(ok=False, transitions_checked=1)
+
+        def broken():
+            raise RuntimeError("graph provider bug")
+
+        with pytest.raises(RuntimeError, match="graph provider bug"):
+            render_failures({"transitions": failed}, graph_provider=broken)
 
     def test_minimal_witnesses_picks_shortest(self):
         rendered = ["a\nb\nc", "x", "m\nn"]

@@ -14,9 +14,14 @@ Chunk functions live at module level: workers resolve them by
 
 import gc
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +140,48 @@ def worker_servers():
     yield servers
     for server in servers:
         server.shutdown()
+
+
+@pytest.fixture(scope="module")
+def worker_processes(tmp_path_factory):
+    """Two ``repro worker`` processes, as CI's distributed smoke runs
+    them.  A traced verification needs these: tracing is switched per
+    process, so a traced run against an in-thread worker would record
+    the two sides' spans into each other's tracers."""
+    root = tmp_path_factory.mktemp("workers")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    processes = []
+    addresses = []
+    try:
+        for index in range(2):
+            port_file = root / f"worker{index}.port"
+            process = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro", "worker",
+                    "--port", "0", "--port-file", str(port_file),
+                ],
+                env=env,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL,
+            )
+            processes.append(process)
+            deadline = time.monotonic() + 30
+            while not (port_file.exists() and port_file.read_text().strip()):
+                assert process.poll() is None, "worker exited"
+                assert time.monotonic() < deadline, "worker did not start"
+                time.sleep(0.05)
+            addresses.append(f"127.0.0.1:{port_file.read_text().strip()}")
+        yield addresses
+    finally:
+        for process in processes:
+            process.send_signal(signal.SIGINT)
+            try:
+                process.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.wait()
 
 
 class TestRegistry:
@@ -288,6 +335,18 @@ class TestCrossBackendIdentity:
             backend.open_pool(2, {"n": 1})
 
 
+def _verify_traced(**kwargs):
+    """A traced library verification (as ``verify --stats`` runs it):
+    the report and the stats bundle as a dict."""
+    from repro import obs
+    from repro.applications.library import library_framework
+
+    framework = library_framework()
+    with obs.activate(obs.Tracer()):
+        result = framework.verify_pipeline(**kwargs)
+    return framework.report_of(result), result.combined_stats().to_dict()
+
+
 def _scrub_ambient(node):
     """Zero the ambient stats fields (timing, process-global intern
     growth) recursively; everything else must be identical."""
@@ -309,45 +368,36 @@ class TestSpecLevelIdentity:
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_verify_identical_across_backends(
-        self, worker_servers, workers
+        self, worker_processes, workers
     ):
-        from repro.applications.library import library_framework
-
-        addresses = [server.address for server in worker_servers]
+        addresses = worker_processes
         outcomes = {}
         for name in ("inline", "fork", "socket"):
             backend = make_backend(
                 name,
                 addresses=addresses if name == "socket" else None,
             )
-            report = library_framework().verify(
-                workers=workers, collect_stats=True, backend=backend
+            report, stats = _verify_traced(
+                workers=workers, backend=backend
             )
-            outcomes[name] = (
-                str(report),
-                _scrub_ambient(report.stats.to_dict()),
-            )
+            outcomes[name] = (str(report), _scrub_ambient(stats))
         assert outcomes["inline"] == outcomes["fork"]
         assert outcomes["inline"] == outcomes["socket"]
 
     @pytest.mark.parametrize("name", ["inline", "fork", "socket"])
     def test_stats_identical_across_worker_counts(
-        self, worker_servers, name
+        self, worker_processes, name
     ):
-        from repro.applications.library import library_framework
-
-        addresses = [server.address for server in worker_servers]
+        addresses = worker_processes
         backend = make_backend(
             name, addresses=addresses if name == "socket" else None
         )
-        serial = library_framework().verify(collect_stats=True)
-        fanned = library_framework().verify(
-            workers=4, collect_stats=True, backend=backend
-        )
+        serial, serial_stats = _verify_traced()
+        fanned, fanned_stats = _verify_traced(workers=4, backend=backend)
         assert str(fanned) == str(serial)
-        assert (serial.stats.workers, fanned.stats.workers) == (1, 4)
-        assert _scrub_ambient(fanned.stats.to_dict())["parts"] == (
-            _scrub_ambient(serial.stats.to_dict())["parts"]
+        assert (serial_stats["workers"], fanned_stats["workers"]) == (1, 4)
+        assert _scrub_ambient(fanned_stats)["parts"] == (
+            _scrub_ambient(serial_stats)["parts"]
         )
 
     def test_verify_workers_4_matches_serial_report(self):
@@ -402,17 +452,15 @@ class TestForkDegradation:
             raise OSError("process creation forced to fail")
 
         monkeypatch.setattr(backends, "_spawn_fork_worker", refuse)
-        degraded = library_framework().verify(workers=4)
+        degraded, degraded_stats = _verify_traced(workers=4)
         serial = library_framework().verify(workers=1)
         # The report — verdicts, counts, everything rendered — is
         # byte-identical to the serial run.
         assert str(degraded) == str(serial)
         # And the degraded run is deterministic.
-        again = library_framework().verify(workers=4)
+        again, again_stats = _verify_traced(workers=4)
         assert str(again) == str(degraded)
-        assert _scrub_ambient(again.stats.to_dict()) == _scrub_ambient(
-            degraded.stats.to_dict()
-        )
+        assert _scrub_ambient(again_stats) == _scrub_ambient(degraded_stats)
 
 
 class TestAbandonedBatch:

@@ -3,12 +3,12 @@ bit-identical report — and identical per-check stats — for any worker
 count.  Every check runs its own serial loop; the worker count only
 decides which process runs the independent checks."""
 
-import dataclasses
 import inspect
 import json
 
 import pytest
 
+from repro import obs
 from repro.applications import courses
 from repro.cli import main
 from repro.core.framework import DesignFramework
@@ -43,35 +43,44 @@ def _scrub(node, bundle=True):
     return node
 
 
+def _traced(workers):
+    """A traced pipeline run of the courses design: its report and its
+    stats bundle."""
+    framework = _courses_framework()
+    with obs.activate(obs.Tracer()):
+        result = framework.verify_pipeline(workers=workers)
+    return framework.report_of(result), result.combined_stats()
+
+
 class TestFrameworkEquivalence:
     @pytest.mark.slow
     def test_verify_report_identical_and_stats_attached(self):
         serial = _courses_framework().verify()
-        parallel = _courses_framework().verify(workers=WORKERS)
-        assert serial.stats is None  # stats are opt-in for serial runs
-        assert parallel.stats is not None
-        assert dataclasses.replace(parallel, stats=None) == serial
-        labels = [part.label for part in parallel.stats.parts]
-        assert labels == [
+        parallel, stats = _traced(WORKERS)
+        assert parallel == serial
+        # One record per check, in schedule order.
+        assert [part.label for part in stats.parts] == [
             "explore",
-            "coverage",
+            "completeness",
             "static",
-            "reachable",
-            "valid-enumeration",
+            "inclusion",
             "transitions",
+            "induction",
+            "congruence",
             "grammar",
             "second-third",
+            "agreement",
         ]
         # The bundle reports the requested count; every part ran its
         # serial loop in one process.
-        assert parallel.stats.workers == WORKERS
-        assert {part.workers for part in parallel.stats.parts} == {1}
+        assert stats.workers == WORKERS
+        assert {part.workers for part in stats.parts} == {1}
 
     def test_collect_stats_without_workers(self):
-        report = _courses_framework().verify(collect_stats=True)
-        assert report.stats is not None
-        assert report.stats.workers == 1
-        assert report.stats.states_checked > 0
+        _, stats = _traced(1)
+        assert stats.workers == 1
+        assert stats.states_checked > 0
+        assert all(part.wall_time > 0 for part in stats.parts)
 
     @pytest.mark.slow
     def test_stats_json_identical_across_worker_counts(
@@ -125,3 +134,26 @@ def test_no_sweep_takes_a_worker_count():
         assert "workers" not in inspect.signature(sweep).parameters, sweep
     for check in build_framework_graph():
         assert "workers" not in check.params, check.name
+
+
+def test_checks_do_not_import_the_parallel_package():
+    """The checks record their work on spans; none of them depends on
+    the worker pool (``repro.parallel``) to report it."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).parent
+    for package in ("algebraic", "refinement"):
+        for path in sorted((root / package).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                for name in names:
+                    assert not name.startswith("repro.parallel"), path

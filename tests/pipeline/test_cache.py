@@ -15,7 +15,6 @@ from repro.algebraic.completeness import (
     TerminationReport,
 )
 from repro.algebraic.observation import ObservabilityReport
-from repro.parallel.stats import VerificationStats, WorkerStats
 from repro.pipeline.cache import (
     CACHE_FORMAT,
     ResultCache,
@@ -85,19 +84,12 @@ class TestSerializers:
 
 class TestResultCache:
     def _store(self, cache, node="static", fingerprint=FP):
-        stats = VerificationStats.merge(
-            node,
-            1,
-            [WorkerStats(worker=0, items=3, wall_time=0.1)],
-            0.1,
-        )
         cache.store(
             node,
             fingerprint,
             "static",
             {"ok": True, "states_checked": 3},
-            stats_parts=(stats,),
-            counters={"static.violations": 0},
+            counters={"items": 3, "static.violations": 0},
             wall_time=0.1,
         )
 
@@ -111,11 +103,11 @@ class TestResultCache:
         assert report == StaticConsistencyReport(
             ok=True, states_checked=3
         )
-        (stats,) = ResultCache.entry_stats(entry)
-        assert stats.label == "static" and stats.states_checked == 3
         assert ResultCache.entry_counters(entry) == {
-            "static.violations": 0
+            "items": 3,
+            "static.violations": 0,
         }
+        assert entry["wall_time"] == 0.1
 
     def test_fingerprint_mismatch_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)

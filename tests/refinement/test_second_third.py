@@ -304,6 +304,32 @@ class TestRefinementCheck:
         assert any("eq6" in label for label in labels)
         assert "does NOT refine" in str(report)
 
+    def test_initiate_equation_checked_once(self, spec, schema):
+        """An equation without a state variable is checked at the
+        initial state only: a false ``initiate`` equation fails once
+        per parameter instance, and the sweep goes on to check every
+        other equation."""
+        from repro.algebraic.equations import ConditionalEquation
+        from repro.algebraic.spec import AlgebraicSpec
+
+        eq1 = next(e for e in spec.equations if e.label == "eq1")
+        flipped = ConditionalEquation(
+            eq1.lhs, spec.signature.true(), None, "eq1-flipped"
+        )
+        mutant = AlgebraicSpec(
+            spec.signature,
+            tuple(flipped if e is eq1 else e for e in spec.equations),
+        )
+        report = check_refinement(mutant, schema)
+        assert not report.ok
+        assert [
+            (f.equation.label, f.valuation) for f in report.failures
+        ] == [("eq1-flipped", (("c", "c1"),)), ("eq1-flipped", (("c", "c2"),))]
+        initial = _induced(spec, schema).initial()
+        assert all(f.state == initial for f in report.failures)
+        assert report.instances_checked == 2506
+        assert check_refinement(spec, schema).instances_checked == 2506
+
     def test_agreement_on_paper_schema(self, spec, schema):
         from repro.algebraic.algebra import TraceAlgebra
 
