@@ -422,6 +422,25 @@ class TraceAlgebra:
             obs_span.count("explore.transitions", len(graph.transitions))
         return graph
 
+    def packed_explorer(self):
+        """This algebra's
+        :class:`~repro.algebraic.exploration.PackedExplorer`, built on
+        first use, or ``None`` when the specification falls outside
+        the canonical plan fragment."""
+        explorer = self._packed_explorer
+        if explorer is None:
+            from repro.algebraic.exploration import (
+                PackedExplorer,
+                PackedUnsupported,
+            )
+
+            try:
+                explorer = PackedExplorer(self)
+            except PackedUnsupported:
+                explorer = False
+            self._packed_explorer = explorer
+        return explorer or None
+
     def _explore_packed(
         self, max_states: int, max_depth: int | None
     ) -> tuple[StateGraph, int] | None:
@@ -432,23 +451,14 @@ class TraceAlgebra:
         gap during the run) or ``spec_error`` (a specification error
         the object path reports with its exact message)."""
         from repro.obs.coverage import COV_STATE as _COV_STATE
-        from repro.algebraic.exploration import (
-            PackedExplorer,
-            PackedUnsupported,
-        )
+        from repro.algebraic.exploration import PackedUnsupported
 
         if not self.packed:
             return _object_path("disabled")
         if _COV_STATE.enabled:
             return _object_path("coverage")
-        explorer = self._packed_explorer
+        explorer = self.packed_explorer()
         if explorer is None:
-            try:
-                explorer = PackedExplorer(self)
-            except PackedUnsupported:
-                explorer = False
-            self._packed_explorer = explorer
-        if explorer is False:
             return _object_path("outside_fragment")
         try:
             return explorer.explore(max_states, max_depth)

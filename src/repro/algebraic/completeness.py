@@ -27,8 +27,9 @@ absence of circularity".  This module implements both halves:
   equation's condition must hold — checked exhaustively on all traces
   up to a depth bound (the empirical counterpart of case exhaustion).
   Each trace's cells are evaluated in one batch on the engine's term
-  arena; a trace with a gap is redone cell by cell, the reference
-  loop, which words the gaps.
+  arena — in the pipeline, the rows of the shared trace table
+  (:mod:`repro.algebraic.tracetable`); a trace with a gap is redone
+  cell by cell, the reference loop, which words the gaps.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from repro.errors import (
 from repro.algebraic.algebra import TraceAlgebra
 from repro.algebraic.equations import ConditionalEquation
 from repro.algebraic.spec import AlgebraicSpec
+from repro.algebraic.tracetable import TraceTable, evaluate_rows
 from repro.logic.terms import App, Term, Var
 from repro.obs.coverage import COV_STATE as _COV
 from repro.obs.stats import counter_delta, engine_counters
@@ -248,6 +250,7 @@ def check_coverage(
     spec: AlgebraicSpec,
     depth: int = 3,
     max_traces: int = 5_000,
+    table: TraceTable | None = None,
 ) -> CoverageReport:
     """Check that every query evaluates on every trace up to ``depth``.
 
@@ -258,33 +261,45 @@ def check_coverage(
 
     A trace's observations are evaluated in one
     :meth:`~repro.algebraic.rewriting.RewriteEngine.evaluate_cells`
-    batch.  The reference loop, one query per cell, redoes a trace
-    whose batch raised, and runs every trace while coverage records.
+    batch: the row of the shared ``table`` when one was built on
+    ``spec`` (the check then reads its prefix and evaluates nothing
+    else), or a batch on a trace algebra of its own.  The reference
+    loop, one query per cell, redoes a trace whose batch raised, and
+    runs every trace while coverage records.
 
     The rewrite work and the cells evaluated (``items``) are counted
     on the active span.
     """
     missing = _missing_constructors(spec)
-    algebra = TraceAlgebra(spec)
-    observations = algebra.observations
-    before = engine_counters(algebra.engine)
     # While coverage records, fire sets come from the reference loop.
     batch = not _COV.enabled
     if not batch:
         _count("completeness.fallback.coverage")
+    entries = None
+    if batch and table is not None and table.algebra.spec is spec:
+        entries = table.entries(table.algebra, depth)
+    if entries is not None:
+        algebra = table.algebra
+    else:
+        algebra = TraceAlgebra(spec)
+        traces = algebra.traces(depth)
+        entries = (
+            evaluate_rows(algebra, traces)
+            if batch
+            else ((trace, None) for trace in traces)
+        )
+    observations = algebra.observations
+    before = engine_counters(algebra.engine)
     items = 0
     uncovered: list[str] = []
     traces_checked = 0
-    for trace in itertools.islice(algebra.traces(depth), max_traces):
+    for trace, row in itertools.islice(entries, max_traces):
         traces_checked += 1
+        if row is not None:
+            items += len(observations)
+            continue
         if batch:
-            try:
-                algebra.engine.evaluate_cells(trace, observations)
-            except ReproError:
-                _count("completeness.cell_fallbacks")
-            else:
-                items += len(observations)
-                continue
+            _count("completeness.cell_fallbacks")
         for name, params in observations:
             items += 1
             try:
@@ -309,15 +324,17 @@ def check_sufficient_completeness(
     spec: AlgebraicSpec,
     depth: int = 3,
     max_traces: int = 5_000,
+    table: TraceTable | None = None,
 ) -> CompletenessReport:
-    """Run both halves of the Section 4.4a check and combine them."""
+    """Run both halves of the Section 4.4a check and combine them
+    (``table``: the shared trace table, if one was built)."""
     with _span("completeness") as obs_span:
         with _span("completeness.termination"):
             termination = check_termination(spec)
         try:
             with _span("completeness.coverage", depth=depth):
                 coverage = check_coverage(
-                    spec, depth=depth, max_traces=max_traces
+                    spec, depth=depth, max_traces=max_traces, table=table
                 )
         except ReproError as exc:  # pragma: no cover - defensive
             coverage = CoverageReport(

@@ -13,15 +13,22 @@ observational equality the intended state equality.  For it to be a
 applied to observationally equal traces must yield observationally
 equal traces, and that is a genuine, checkable property of a
 specification — :func:`check_congruence` verifies it over the
-reachable state space (plus one extra update layer).
+reachable state space (plus one extra update layer).  Inside the
+canonical plan fragment it holds by construction, and the check reads
+it off the shared trace table (:func:`_congruent_by_construction`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.algebraic.algebra import Snapshot, TraceAlgebra
+from repro.algebraic.tracetable import Row, TraceTable
+from repro.errors import ReproError
 from repro.logic.terms import Term
+from repro.obs.coverage import COV_STATE as _COV
+from repro.obs.tracer import count as _count
 
 __all__ = [
     "CongruenceViolation",
@@ -93,21 +100,129 @@ def observational_classes(
 
 
 def check_congruence(
-    algebra: TraceAlgebra, depth: int = 3, max_pairs_per_class: int = 10
+    algebra: TraceAlgebra,
+    depth: int = 3,
+    max_pairs_per_class: int = 10,
+    table: TraceTable | None = None,
 ) -> ObservabilityReport:
     """Check that observational equality is a congruence.
 
-    For every pair of observationally equal traces (up to
-    ``max_pairs_per_class`` representatives per class, since classes
-    can be large) and every update instance, the updated traces must
-    again be observationally equal.
+    The reference is an enumeration: for every pair of observationally
+    equal traces (up to ``max_pairs_per_class`` representatives per
+    class, since classes can be large) and every update instance, the
+    updated traces must again be observationally equal.
+
+    Given a :class:`~repro.algebraic.tracetable.TraceTable` built on
+    ``algebra``, the check groups the table's rows into classes and,
+    inside the canonical plan fragment, reports the congruence by
+    construction (:func:`_congruent_by_construction` proves the
+    lemma) without taking a successor snapshot.  It counts
+    ``congruence.by_construction``, or runs the enumeration and counts
+    ``congruence.fallback.<reason>``: ``coverage`` (recording active),
+    ``disabled`` (the algebra is not ``packed``), ``outside_fragment``,
+    ``row_error`` (a table row failed to evaluate) or
+    ``dispatch_gap``.  Without a table that can serve ``depth`` the
+    enumeration runs uncounted.
 
     Args:
         algebra: the trace algebra to examine.
         depth: trace enumeration depth.
         max_pairs_per_class: cap on representatives compared per
             observational class.
+        table: the shared trace table, if one was built.
     """
+    if _COV.enabled:
+        reason = "coverage"
+    elif not algebra.packed:
+        reason = "disabled"
+    else:
+        entries = None if table is None else table.entries(algebra, depth)
+        if entries is None:
+            return _enumerate(algebra, depth, max_pairs_per_class)
+        classes = Counter(row for _, row in entries)
+        reason = _congruent_by_construction(algebra, classes)
+        if reason is None:
+            _count("congruence.by_construction")
+            return ObservabilityReport(
+                ok=True, classes=len(classes), traces_checked=len(entries)
+            )
+    _count(f"congruence.fallback.{reason}")
+    return _enumerate(algebra, depth, max_pairs_per_class)
+
+
+def _congruent_by_construction(
+    algebra: TraceAlgebra, classes: Counter[Row]
+) -> str | None:
+    """Decide the congruence from the table alone — ``classes`` counts
+    the traces of each distinct row — returning ``None`` when the
+    lemma below applies, else the fallback reason.
+
+    **Lemma.**  Suppose :class:`PackedExplorer` constructs on the
+    algebra: no U-equations, no state normalization, and every ground
+    update instance ``u(a)`` compiles to a non-fallback
+    :class:`~repro.algebraic.plans.UpdatePlan`.  Each such plan gives
+    every observation cell ``c`` a dispatch list mirroring the rewrite
+    engine's: the equations of ``(q, u)`` grounded at ``c`` and ``a``,
+    in declaration order, each a condition and a right-hand side
+    compiled to closures that read cells of the *predecessor* state
+    only (a fragment equation reads no state but its bare state
+    variable).  A cell missing from the plan is a pure frame cell,
+    every live entry an identity and the last unconditional; a cell
+    no equation grounds keeps an empty dispatch.  So, for every trace
+    ``t``, the engine evaluates ``c`` on ``u(a, t)`` by firing the
+    first entry whose condition holds on the snapshot of ``t`` — the
+    plan's choice — and the snapshot of ``u(a, t)`` is the plan
+    applied to the snapshot of ``t`` whenever no dispatch runs out.
+    Hence equal snapshots of ``t`` and ``t'`` give equal snapshots of
+    ``u(a, t)`` and ``u(a, t')``: observational equality is a
+    congruence by construction — the simple-observation condition of
+    Section 4.1 — and the enumeration finds no violation.
+
+    **The enumeration could not have raised either.**  It evaluates
+    every cell of every table trace: the rows, which all evaluated,
+    or the check falls back (``row_error``).  And it evaluates every
+    cell of ``u(a, t)`` for representatives ``t`` of each class with
+    two or more members: each instance's plan is applied once to that
+    class's row below, and a dispatch that runs out (or a
+    specification error raised by a closure) falls back
+    (``dispatch_gap``).  Otherwise every cell's dispatch reaches an
+    entry that fires — the engine fires the same one — and every read
+    is a cell of ``t``.  Those cells were evaluated on this engine
+    when the table was built, and its memo keeps them, so a successor
+    cell fires one equation: it cannot run out of fuel or recursion
+    where its predecessor's row did not.  Classes with one member
+    take no successor snapshot in the enumeration, and none here.
+    """
+    # Imported here, as in TraceAlgebra: the packed explorer and the
+    # plan compiler load only when a check uses them.
+    from repro.algebraic.exploration import PackedUnsupported
+
+    explorer = algebra.packed_explorer()
+    if explorer is None:
+        return "outside_fragment"
+    if None in classes:
+        return "row_error"
+    observations = algebra.observations
+    position = {cell: index for index, cell in enumerate(observations)}
+    order = [position[cell] for cell in explorer.cells]
+    for row, members in classes.items():
+        if members < 2:
+            continue
+        packed_row = tuple(row[index] for index in order)
+        get = dict(zip(observations, row)).__getitem__
+        for instance in explorer.instances:
+            try:
+                explorer.apply_instance(instance, packed_row, get)
+            except (PackedUnsupported, ReproError):
+                return "dispatch_gap"
+    return None
+
+
+def _enumerate(
+    algebra: TraceAlgebra, depth: int, max_pairs_per_class: int
+) -> ObservabilityReport:
+    """The reference: compare the successor snapshots of every class's
+    representatives under every update instance."""
     classes = observational_classes(algebra, depth)
     violations: list[CongruenceViolation] = []
     traces_checked = sum(len(members) for members in classes.values())

@@ -391,6 +391,15 @@ class UpdatePlanner:
                 self._ground_equation(
                     equation, params, per_cell
                 )
+            # A cell no equation's pattern grounds gets an empty,
+            # unsealed dispatch: the trace semantics finds no equation
+            # for it, so applying must not treat it as a frame cell.
+            domains = [
+                signature.domain(sort)
+                for sort in query_symbol.arg_sorts[:-1]
+            ]
+            for values in itertools.product(*domains):
+                per_cell.setdefault((query_symbol.name, values), [])
         actions = []
         for cell, entries in per_cell.items():
             live = []

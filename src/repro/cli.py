@@ -754,8 +754,8 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             "run checks in N processes at once: this one runs the "
             "graph-bound checks while up to N-1 workers run the "
-            "independent ones (induction, congruence, grammar, "
-            "agreement); default 1 = all in this process, reports "
+            "independent ones (induction, grammar); default 1 = "
+            "all in this process, reports "
             "are identical either way"
         ),
     )

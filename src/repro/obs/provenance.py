@@ -37,6 +37,7 @@ __all__ = [
 #: declaration order).
 _CHECK_ORDER = (
     "explore",
+    "traces",
     "completeness",
     "static",
     "inclusion",

@@ -7,10 +7,11 @@ inductive proof of (b), level-2 congruence, and the Section 5.4
 refinement.  The unit of parallel work is one whole obligation — one
 check of the :mod:`repro.pipeline` graph.  Every check runs its own
 serial loop; ``--workers N`` runs checks in ``N`` processes at once:
-the calling process runs the graph-bound checks (explore,
-completeness, static, inclusion, transitions, second-third) inline
-while up to ``N - 1`` virtual workers run the four independent ones
-(induction, congruence, grammar, agreement), one check per chunk.
+the calling process runs the graph-bound checks (explore, traces,
+completeness, static, inclusion, transitions, congruence,
+second-third, agreement) inline while up to ``N - 1`` virtual workers
+run the two independent ones (induction, grammar), one check per
+chunk.
 
 This package provides the pieces that fan-out uses:
 

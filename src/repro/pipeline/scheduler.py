@@ -26,10 +26,11 @@ stored counters and wall time are recorded on a ``cached=True`` span —
 so a warm run's ``--stats-json`` and ``--metrics-json`` are
 byte-identical to the cold run that populated the cache.
 
-Resource nodes (``explore``) are demand-driven: they execute only when
-a dependent missed; on an all-hit run only their counters and wall
-time are replayed and the state graph is never rebuilt — that is where
-the warm-run speedup comes from.
+Resource nodes (``explore``, ``traces``) are demand-driven: they
+execute only when a dependent missed; on an all-hit run only their
+counters and wall time are replayed and neither the state graph nor
+the trace table is rebuilt — that is where the warm-run speedup comes
+from.
 """
 
 from __future__ import annotations
@@ -399,7 +400,9 @@ class Scheduler:
                         replayed[name] = deserialize_result(
                             check.cache_kind, entry["report"]
                         )
-                    except Exception:
+                    except (KeyError, TypeError, ValueError):
+                        # A malformed stored report: re-run the check.
+                        _count("pipeline.cache.unreadable")
                         plan[name] = "run"
                         continue
                     entries[name] = entry
@@ -486,7 +489,9 @@ class Scheduler:
                             group_span.__enter__()
                             open_group = check.group
                     if plan[name] == "hit":
-                        runs[name] = self._replay(check, entries[name])
+                        runs[name] = self._replay(
+                            check, entries[name], replayed.get(name)
+                        )
                         statuses[name] = "hit"
                     else:
                         runs[name] = _execute_check(
@@ -547,14 +552,12 @@ class Scheduler:
             )
         self._store(check, fingerprint, run)
 
-    def _replay(self, check: Check, entry: dict) -> CheckRun:
-        """Rebuild a cached check: report object, span counters and
-        wall time, without running anything."""
+    def _replay(self, check: Check, entry: dict, result: Any) -> CheckRun:
+        """Rebuild a cached check from its entry and its deserialized
+        report (``None`` for a resource node): span counters and wall
+        time, without running anything."""
         if OBS_STATE.enabled:
             _count("pipeline.cache.hits", 1)
-        result = None
-        if check.cache_kind is not None:
-            result = deserialize_result(check.cache_kind, entry["report"])
         counters = ResultCache.entry_counters(entry)
         coverage = ResultCache.entry_coverage(entry)
         if (

@@ -39,13 +39,13 @@ from typing import Callable, Hashable, Iterator, Mapping
 from repro.errors import (
     ExecutionError,
     RefinementError,
-    ReproError,
     SignatureError,
 )
 from repro.algebraic.algebra import TraceAlgebra
 from repro.algebraic.equations import ConditionalEquation
 from repro.algebraic.signature import AlgebraicSignature
 from repro.algebraic.spec import AlgebraicSpec
+from repro.algebraic.tracetable import TraceTable, evaluate_rows
 from repro.logic import formulas as fm
 from repro.logic.sorts import BOOLEAN, STATE, Sort
 from repro.logic.terms import App, Term, Var
@@ -1124,6 +1124,7 @@ def check_agreement(
     rep_map: RepresentationMap | None = None,
     depth: int = 3,
     max_traces: int = 2_000,
+    table: TraceTable | None = None,
 ) -> SecondToThirdReport:
     """Cross-level agreement: for every trace, every simple observation
     computed by rewriting (level 2) equals the K-realized observation
@@ -1134,10 +1135,11 @@ def check_agreement(
 
     A trace's level-2 observations are evaluated in one
     :meth:`~repro.algebraic.rewriting.RewriteEngine.evaluate_cells`
-    batch on the engine's term arena.  The reference, one
-    :meth:`TraceAlgebra.query` per cell, redoes a trace whose batch
-    raised, and runs every trace while coverage records or when the
-    algebra is not ``packed``.
+    batch on the engine's term arena: the row of the shared ``table``
+    when one was built on ``algebra``, else a batch of its own.  The
+    reference, one :meth:`TraceAlgebra.query` per cell, redoes a trace
+    whose batch raised, and runs every trace while coverage records or
+    when the algebra is not ``packed``.
     """
     if rep_map is None:
         rep_map = RepresentationMap.homonym(algebra.signature, schema)
@@ -1150,19 +1152,20 @@ def check_agreement(
     )
     if fallback is not None:
         _count(f"agreement.fallback.{fallback}")
+        entries = ((trace, None) for trace in algebra.traces(depth))
+    else:
+        entries = None if table is None else table.entries(algebra, depth)
+        if entries is None:
+            entries = evaluate_rows(algebra, algebra.traces(depth))
     failures: list[EquationFailure] = []
     instances = 0
     states = 0
-    for trace in itertools.islice(algebra.traces(depth), max_traces):
+    for trace, values in itertools.islice(entries, max_traces):
         states += 1
         sid = induced._trace_id(trace)
         db_state = induced._states[sid]
-        values = None
-        if fallback is None:
-            try:
-                values = algebra.engine.evaluate_cells(trace, observations)
-            except ReproError:
-                _count("agreement.cell_fallbacks")
+        if values is None and fallback is None:
+            _count("agreement.cell_fallbacks")
         for index, (name, params) in enumerate(observations):
             instances += 1
             if values is not None:

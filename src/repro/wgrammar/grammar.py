@@ -212,6 +212,39 @@ class WGrammar:
         self.start = tuple(start)
         self._check_wellformed()
         self._membership_cache: dict[tuple[str, Notion], bool] = {}
+        self._index_rules()
+
+    def _index_rules(self) -> None:
+        """Bucket the hyperrules by the first mark of their left-hand
+        side: a notion can only match a rule whose lhs starts with its
+        own first mark.  A rule whose lhs starts with a metanotion (or
+        is empty) goes into every bucket; buckets keep declaration
+        order, each rule paired with its declaration index."""
+        unindexed: list[tuple[int, Hyperrule]] = []
+        buckets: dict[str, list[tuple[int, Hyperrule]]] = {}
+        for index, rule in enumerate(self.hyperrules):
+            head = rule.lhs[0] if rule.lhs else None
+            if isinstance(head, Mark):
+                buckets.setdefault(head.text, list(unindexed)).append(
+                    (index, rule)
+                )
+            else:
+                unindexed.append((index, rule))
+                for bucket in buckets.values():
+                    bucket.append((index, rule))
+        self._rules_by_mark = {
+            mark: tuple(bucket) for mark, bucket in buckets.items()
+        }
+        self._unindexed_rules = tuple(unindexed)
+
+    def rules_for(self, notion: Notion) -> tuple[tuple[int, Hyperrule], ...]:
+        """The ``(declaration index, rule)`` pairs whose left-hand side
+        can match ``notion``, in declaration order."""
+        if notion:
+            return self._rules_by_mark.get(
+                notion[0], self._unindexed_rules
+            )
+        return self._unindexed_rules
 
     def _check_wellformed(self) -> None:
         for rule in self.hyperrules:
@@ -393,8 +426,10 @@ class WGrammar:
         Args:
             tokens: the input, one mark per token.
             max_steps: abort (raising :class:`WGrammarError`) after
-                this many rule expansions — W-grammar recognition is
+                this many rule tries — W-grammar recognition is
                 undecidable in general, so a budget is mandatory.
+                Each notion tries only the rules :meth:`rules_for`
+                returns.
             counters: optional dict receiving the recognizer's work
                 counters (``steps``, ``memo_entries``, ``memo_hits``)
                 for the caller to record.
@@ -615,7 +650,7 @@ class _Recognizer:
 
     @property
     def steps_used(self) -> int:
-        """Rule expansions consumed so far out of the initial budget."""
+        """Rule tries consumed so far out of the initial budget."""
         return self._max_steps - self._budget
 
     def parse(self, notion: Notion, pos: int) -> set[int]:
@@ -630,7 +665,7 @@ class _Recognizer:
             return set()
         self._active.add(key)
         results: set[int] = set()
-        for rule_index, rule in enumerate(self._grammar.hyperrules):
+        for rule_index, rule in self._grammar.rules_for(notion):
             self._budget -= 1
             if self._budget < 0:
                 raise WGrammarError(

@@ -9,6 +9,7 @@ and checks that the violation is caught.
 
 import pytest
 
+from repro import obs
 from repro.algebraic.algebra import TraceAlgebra
 from repro.algebraic.equations import ConditionalEquation
 from repro.algebraic.observation import (
@@ -17,8 +18,14 @@ from repro.algebraic.observation import (
 )
 from repro.algebraic.signature import AlgebraicSignature
 from repro.algebraic.spec import AlgebraicSpec
+from repro.algebraic.tracetable import build_trace_table
+from repro.cli import APPLICATIONS
+from repro.errors import IncompletenessError
+from repro.logic import formulas as fm
 from repro.logic.sorts import STATE
 from repro.logic.terms import Var
+from repro.obs.coverage import activate_coverage
+from tests.applications.test_mutations import MUTANTS
 
 
 class TestObservationalClasses:
@@ -132,3 +139,164 @@ class TestCongruence:
         )
         assert report.ok
         assert report.traces_checked == 17
+
+
+def _gap_after_set_spec() -> AlgebraicSpec:
+    """In the plan fragment, with a dispatch gap one update beyond
+    depth 1.
+
+    ``set`` and ``set_again`` both make ``p`` true, so their depth-1
+    traces form one class of two; ``q`` over ``mark`` is defined only
+    while ``p`` is false, so applying ``mark`` to that class finds no
+    equation.  Every trace of at most one update evaluates.
+    """
+    signature = AlgebraicSignature()
+    signature.add_query("p", [])
+    signature.add_query("q", [])
+    signature.add_initial()
+    for update in ("set", "set_again", "mark"):
+        signature.add_update(update, [])
+    u = Var("U", STATE)
+    p = lambda s: signature.apply_query("p", s)
+    q = lambda s: signature.apply_query("q", s)
+    initiate = signature.initial_term()
+    setting = [signature.apply_update(name, u) for name in ("set", "set_again")]
+    mark = signature.apply_update("mark", u)
+    equations = [
+        ConditionalEquation(p(initiate), signature.false(), None, "p-init"),
+        ConditionalEquation(q(initiate), signature.false(), None, "q-init"),
+    ]
+    for term in setting:
+        equations += [
+            ConditionalEquation(p(term), signature.true()),
+            ConditionalEquation(q(term), q(u)),
+        ]
+    equations += [
+        ConditionalEquation(p(mark), p(u), None, "p-mark"),
+        ConditionalEquation(
+            q(mark),
+            signature.true(),
+            fm.Equals(p(u), signature.false()),
+            "q-mark-unset",
+        ),
+    ]
+    return AlgebraicSpec(signature, tuple(equations), name="gap-after-set")
+
+
+def _both_paths(spec, depth):
+    """The enumeration's report and the table path's, with the table
+    path's counters."""
+    reference = check_congruence(TraceAlgebra(spec), depth=depth)
+    algebra = TraceAlgebra(spec)
+    table = build_trace_table(algebra, depth)
+    tracer = obs.Tracer()
+    with obs.activate(tracer):
+        report = check_congruence(algebra, depth=depth, table=table)
+    return reference, report, tracer.counter_totals()
+
+
+def _assert_same(reference, report):
+    assert report.ok == reference.ok
+    assert report.classes == reference.classes
+    assert report.traces_checked == reference.traces_checked
+    assert str(report) == str(reference)
+
+
+def _path(counters):
+    return sorted(
+        name
+        for name in counters
+        if name.startswith("congruence.")
+    )
+
+
+class TestCongruenceByConstruction:
+    """The lemma's verdict is held to the enumeration's."""
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("app", list(APPLICATIONS))
+    def test_four_applications(self, app, depth):
+        spec = APPLICATIONS[app]().algebraic
+        reference, report, counters = _both_paths(spec, depth)
+        _assert_same(reference, report)
+        assert _path(counters) == ["congruence.by_construction"]
+        # No successor snapshot is taken.
+        assert "algebra.snapshots" not in counters
+
+    @pytest.mark.parametrize(
+        "label,mutant", MUTANTS, ids=[label for label, _ in MUTANTS]
+    )
+    def test_courses_mutants(self, label, mutant):
+        reference, report, counters = _both_paths(mutant, 2)
+        _assert_same(reference, report)
+        assert _path(counters) == ["congruence.by_construction"]
+
+    def test_ping_pong_falls_outside_the_fragment(self):
+        reference, report, counters = _both_paths(
+            _history_dependent_spec(), 2
+        )
+        assert _path(counters) == ["congruence.fallback.outside_fragment"]
+        assert not report.ok and report.violations
+        assert report.violations == reference.violations
+        _assert_same(reference, report)
+
+    def test_dispatch_gap_falls_back_and_raises_alike(self):
+        spec = _gap_after_set_spec()
+        algebra = TraceAlgebra(spec)
+        assert algebra.packed_explorer() is not None
+        table = build_trace_table(algebra, 1)
+        assert None not in table.rows
+        with pytest.raises(IncompletenessError) as reference:
+            check_congruence(TraceAlgebra(spec), depth=1)
+        tracer = obs.Tracer()
+        with obs.activate(tracer), pytest.raises(
+            IncompletenessError
+        ) as shared:
+            check_congruence(algebra, depth=1, table=table)
+        assert str(shared.value) == str(reference.value)
+        assert _path(tracer.counter_totals()) == [
+            "congruence.fallback.dispatch_gap"
+        ]
+
+    def test_row_error_falls_back_and_raises_alike(self):
+        spec = _gap_after_set_spec()
+        algebra = TraceAlgebra(spec)
+        table = build_trace_table(algebra, 2)
+        assert None in table.rows
+        with pytest.raises(IncompletenessError) as reference:
+            check_congruence(TraceAlgebra(spec), depth=2)
+        tracer = obs.Tracer()
+        with obs.activate(tracer), pytest.raises(
+            IncompletenessError
+        ) as shared:
+            check_congruence(algebra, depth=2, table=table)
+        assert str(shared.value) == str(reference.value)
+        assert _path(tracer.counter_totals()) == [
+            "congruence.fallback.row_error"
+        ]
+
+    def test_coverage_recording_falls_back(self):
+        spec = APPLICATIONS["library"]().algebraic
+        algebra = TraceAlgebra(spec)
+        table = build_trace_table(algebra, 2)
+        reference = check_congruence(TraceAlgebra(spec), depth=2)
+        tracer = obs.Tracer()
+        with activate_coverage(), obs.activate(tracer):
+            report = check_congruence(algebra, depth=2, table=table)
+        _assert_same(reference, report)
+        assert _path(tracer.counter_totals()) == [
+            "congruence.fallback.coverage"
+        ]
+
+    def test_unpacked_algebra_falls_back(self):
+        spec = APPLICATIONS["courses"]().algebraic
+        reference = check_congruence(TraceAlgebra(spec), depth=1)
+        tracer = obs.Tracer()
+        with obs.activate(tracer):
+            report = check_congruence(
+                TraceAlgebra(spec, packed=False), depth=1
+            )
+        _assert_same(reference, report)
+        assert _path(tracer.counter_totals()) == [
+            "congruence.fallback.disabled"
+        ]

@@ -87,6 +87,32 @@ def _incomplete_spec() -> AlgebraicSpec:
     return AlgebraicSpec(signature, equations)
 
 
+def _ungrounded_cell_spec() -> AlgebraicSpec:
+    """``q(c, touch(U))`` has an equation only for ``c = c1`` (a
+    constant pattern): no equation grounds the cell ``q(c2)``."""
+    signature = AlgebraicSignature()
+    course = signature.add_parameter_sort("course")
+    signature.add_parameter_values(course, ["c1", "c2"])
+    signature.add_query("q", [course])
+    signature.add_initial()
+    signature.add_update("touch", [])
+    c = Var("c", course)
+    touched = signature.apply_update("touch", Var("U", STATE))
+    equations = (
+        ConditionalEquation(
+            signature.apply_query("q", c, signature.initial_term()),
+            signature.false(),
+        ),
+        ConditionalEquation(
+            signature.apply_query(
+                "q", signature.value(course, "c1"), touched
+            ),
+            signature.true(),
+        ),
+    )
+    return AlgebraicSpec(signature, equations)
+
+
 class TestPackedFallback:
     """Only the errors the object BFS re-reports with exact messages
     fall back to it; anything else is a packed-explorer bug and
@@ -118,6 +144,17 @@ class TestPackedFallback:
             TraceAlgebra(spec).explore()
         assert str(packed_path.value) == str(object_path.value)
         assert "q(c2, touch(c1, initiate))" in str(packed_path.value)
+
+    def test_ungrounded_cell_is_not_a_frame_cell(self):
+        # The trace semantics finds no equation for q(c2) over touch,
+        # so the packed BFS must not keep it as a frame cell.
+        spec = _ungrounded_cell_spec()
+        with pytest.raises(IncompletenessError) as object_path:
+            TraceAlgebra(spec, packed=False).explore()
+        with pytest.raises(IncompletenessError) as packed:
+            TraceAlgebra(spec).explore()
+        assert str(packed.value) == str(object_path.value)
+        assert "q(c2, touch(initiate))" in str(packed.value)
 
     def test_unsupported_mid_explore_falls_back(self, monkeypatch):
         def unsupported(self, *args):

@@ -123,7 +123,7 @@ class TestObservabilityFlags:
             "rewrite.evaluate.calls",
             "wgrammar.steps",
             "check.completeness.items",
-            "check.congruence.algebra.snapshots",
+            "check.congruence.congruence.by_construction",
         ):
             assert name in counters, name
         for name in (
@@ -180,6 +180,7 @@ class TestKernelStatsFields:
 #: The checks of the framework graph, in schedule order.
 CHECKS = [
     "explore",
+    "traces",
     "completeness",
     "static",
     "inclusion",
@@ -192,7 +193,7 @@ CHECKS = [
 ]
 
 #: The checks a run with more than one worker fans out.
-FANNED = ["induction", "congruence", "grammar", "agreement"]
+FANNED = ["induction", "grammar"]
 
 
 def _stats_json(tmp_path, app, *flags):
@@ -218,6 +219,16 @@ class TestStatsRecords:
         assert bundle["wall_time"] == pytest.approx(
             sum(part["wall_time"] for part in parts)
         )
+
+    def test_table_readers_and_induction_record_items(self, tmp_path):
+        parts = {
+            part["label"]: part["states_checked"]
+            for part in _stats_json(tmp_path, "courses")["parts"]
+        }
+        # 273 traces of at most two updates, 6 observation cells each.
+        assert parts["traces"] == parts["congruence"] == 273
+        assert parts["completeness"] == parts["agreement"] == 273 * 6
+        assert parts["induction"] == 25
 
     def test_stats_lines_cover_every_check(self, capsys):
         assert main(["verify", "courses", "--quiet", "--stats"]) == 0
@@ -317,6 +328,16 @@ class TestPipelineFlags:
         assert "explore" in out
         assert "static" in out
         assert "congruence" not in out
+
+    @pytest.mark.parametrize("check", ["congruence", "agreement"])
+    def test_only_table_reader_pulls_in_traces(self, check, capsys):
+        assert main(["verify", "courses", "--only", check]) == 0
+        names = [
+            line.split()[0]
+            for line in capsys.readouterr().out.splitlines()
+            if line.strip() and not line.startswith("[")
+        ]
+        assert names == ["traces", check]
 
     def test_skip_accepts_comma_separated_names(self, capsys):
         assert main(

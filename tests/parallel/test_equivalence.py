@@ -61,6 +61,7 @@ class TestFrameworkEquivalence:
         # One record per check, in schedule order.
         assert [part.label for part in stats.parts] == [
             "explore",
+            "traces",
             "completeness",
             "static",
             "inclusion",

@@ -46,11 +46,19 @@ class TestSelection:
         graph = build_framework_graph()
         assert graph.select(only=["static"]) == ("explore", "static")
 
+    @pytest.mark.parametrize(
+        "check", ["completeness", "congruence", "agreement"]
+    )
+    def test_table_readers_pull_in_the_traces_node(self, check):
+        graph = build_framework_graph()
+        assert graph.select(only=[check]) == ("traces", check)
+        assert check not in graph.select(skip=["traces"])
+
     def test_only_keeps_schedule_order(self):
         graph = build_framework_graph()
         assert graph.select(
             only=["agreement", "completeness"]
-        ) == ("completeness", "agreement")
+        ) == ("traces", "completeness", "agreement")
 
     def test_skip_removes_dependents(self):
         graph = build_framework_graph()
@@ -67,7 +75,7 @@ class TestSelection:
         assert graph.select(
             only=["completeness", "congruence"],
             skip=["congruence"],
-        ) == ("completeness",)
+        ) == ("traces", "completeness")
 
     def test_unknown_name_is_an_error(self):
         graph = build_framework_graph()

@@ -48,6 +48,23 @@ class TestByteIdentity:
     def test_warm_equals_cold_projects(self, workers, tmp_path):
         _assert_warm_equals_cold("projects", workers, tmp_path)
 
+    def test_cli_stats_json_cold_equals_warm(self, tmp_path):
+        from repro.cli import main
+
+        cache = tmp_path / "cache"
+        paths = [tmp_path / "cold.json", tmp_path / "warm.json"]
+        for path in paths:
+            assert main(
+                [
+                    "verify", "courses", "--quiet",
+                    "--cache-dir", str(cache), "--stats-json", str(path),
+                ]
+            ) == 0
+        cold, warm = (path.read_bytes() for path in paths)
+        assert warm == cold
+        labels = [part["label"] for part in json.loads(cold)["parts"]]
+        assert labels[:3] == ["explore", "traces", "completeness"]
+
     def test_cache_off_equals_cache_cold(self, tmp_path):
         plain, plain_stats = _verify("courses", 1, None)
         cached, cached_stats = _verify("courses", 1, ResultCache(tmp_path))
@@ -73,6 +90,7 @@ class TestInvalidation:
         statuses = {e.name: e.status for e in result.executions}
         assert statuses == {
             "explore": "hit",
+            "traces": "ran",
             "completeness": "hit",
             "static": "hit",
             "inclusion": "hit",
@@ -110,6 +128,35 @@ class TestInvalidation:
             path.write_text("garbage", encoding="utf-8")
         warm, _ = _verify("courses", 1, ResultCache(tmp_path))
         assert str(warm) == str(cold)
+
+    def test_unreadable_report_reruns_and_is_counted(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cold, _ = _verify("courses", 1, cache)
+        (path,) = tmp_path.glob("static-*.json")
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        del entry["report"]["states_checked"]
+        path.write_text(json.dumps(entry), encoding="utf-8")
+        framework = APPLICATIONS["courses"]()
+        tracer = obs.Tracer()
+        with obs.activate(tracer):
+            result = framework.verify_pipeline(cache=ResultCache(tmp_path))
+        assert str(framework.report_of(result)) == str(cold)
+        assert result.execution("static").status == "ran"
+        assert result.execution("completeness").status == "hit"
+        assert tracer.counter_totals()["pipeline.cache.unreadable"] == 1
+
+    def test_replay_bug_propagates(self, tmp_path, monkeypatch):
+        from repro.pipeline import scheduler
+
+        cache = ResultCache(tmp_path)
+        _verify("courses", 1, cache)
+
+        def broken(kind, payload):
+            raise RuntimeError("replay bug")
+
+        monkeypatch.setattr(scheduler, "deserialize_result", broken)
+        with pytest.raises(RuntimeError, match="replay bug"):
+            _verify("courses", 1, ResultCache(tmp_path))
 
     def test_failing_checks_are_never_cached(self, tmp_path):
         from repro.algebraic.equations import ConditionalEquation

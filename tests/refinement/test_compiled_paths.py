@@ -484,6 +484,7 @@ class TestFallbackCounters:
         framework = APPLICATIONS[app]()
         _, counters = _counted(framework.verify)
         assert _fallbacks(counters) == {}
+        assert counters["congruence.by_construction"] == 1
         with activate_coverage():
             _, counters = _counted(framework.verify)
         assert _fallbacks(counters) == {
@@ -494,6 +495,7 @@ class TestFallbackCounters:
             "induction.fallback.coverage": 1,
             "induction.invariant_fallback.coverage": 1,
             "completeness.fallback.coverage": 1,
+            "congruence.fallback.coverage": 1,
             "agreement.fallback.coverage": 1,
         }
 

@@ -7,6 +7,13 @@ from repro.errors import WGrammarError
 from repro.applications.courses import courses_schema_source
 from repro.applications.library import library_schema_source
 from repro.applications.projects import projects_schema_source
+from repro.wgrammar.grammar import (
+    Hyperrule,
+    LexicalMeta,
+    Mark,
+    MetaRef,
+    WGrammar,
+)
 from repro.wgrammar.rpr_grammar import (
     check_schema_source,
     rpr_wgrammar,
@@ -153,3 +160,69 @@ class TestMarks:
         grammar = rpr_wgrammar()
         assert grammar.start == ("program",)
         assert len(grammar.hyperrules) > 50
+
+
+def _every_rule(grammar, notion):
+    """The unindexed search: every hyperrule for every notion."""
+    return tuple(enumerate(grammar.hyperrules))
+
+
+class TestRuleIndex:
+    """A notion tries only the hyperrules whose left-hand side can
+    match it; verdicts are those of trying every rule."""
+
+    def test_rpr_rules_bucket_by_first_mark(self):
+        grammar = rpr_wgrammar()
+        rules = grammar.hyperrules
+        assert len(rules) == 70
+        assert all(isinstance(rule.lhs[0], Mark) for rule in rules)
+        marks = {rule.lhs[0].text for rule in rules}
+        assert len(marks) == 31
+        for mark in marks:
+            assert [index for index, _ in grammar.rules_for((mark,))] == [
+                index
+                for index, rule in enumerate(rules)
+                if rule.lhs[0].text == mark
+            ]
+        assert grammar.rules_for(("no-such-mark",)) == ()
+        assert grammar.rules_for(()) == ()
+
+    def test_metanotion_headed_rules_join_every_bucket(self):
+        grammar = WGrammar(
+            {"X": LexicalMeta("[a-z]")},
+            [
+                Hyperrule((Mark("a"),), ()),
+                Hyperrule((MetaRef("X"),), ()),
+                Hyperrule((Mark("b"),), ()),
+                Hyperrule((Mark("a"), Mark("c")), ()),
+                Hyperrule((), ()),
+            ],
+            ("a",),
+        )
+
+        def indices(notion):
+            return [index for index, _ in grammar.rules_for(notion)]
+
+        assert indices(("a",)) == [0, 1, 3, 4]
+        assert indices(("b", "c")) == [1, 2, 4]
+        assert indices(("z",)) == [1, 4]
+        assert indices(()) == [1, 4]
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            courses_schema_source(),
+            library_schema_source(),
+            projects_schema_source(),
+            "schema R(Things); proc p(x) = insert S(x) end-schema",
+            "schema R(Things) proc p(x) = insert R(x) end-schema",
+            "schema if(Things); proc p(x) = insert if(x) end-schema",
+        ],
+    )
+    def test_same_verdict_as_every_rule(self, source, monkeypatch):
+        indexed: dict = {}
+        verdict = check_schema_source(source, counters=indexed)
+        monkeypatch.setattr(WGrammar, "rules_for", _every_rule)
+        every: dict = {}
+        assert check_schema_source(source, counters=every) == verdict
+        assert indexed["steps"] < every["steps"]
