@@ -1,10 +1,9 @@
 """E16 — proof-coverage overhead and report-render cost.
 
-Coverage recording follows the tracer's one-branch discipline: with
-``COV_STATE`` disabled every instrumentation point is one attribute
-load and branch, and that case is already covered by the 5% gate of
-:mod:`benchmarks.bench_obs` (the flags share the discipline, not the
-switch).  What this module measures is coverage *ON* — the opt-in
+Coverage recording shares the tracer's switch: with the ``coverage``
+slot of :data:`repro.obs.switch.SWITCH` empty every instrumentation
+point is one attribute load and branch, and that case is already
+covered by the 5% gate of :mod:`benchmarks.bench_obs`.  What this module measures is coverage *ON* — the opt-in
 cost of recording dispatch cells and fired-equation sets on the
 rewrite hot path.  ``benchmarks/check_obs_overhead.py --coverage-run``
 gates the pair ``bench_snapshot_cov_off`` / ``bench_snapshot_cov_on``
@@ -21,13 +20,12 @@ from repro.applications.courses import courses_algebraic
 from repro.logic.terms import App
 from repro.obs.coverage import (
     CoverageRecorder,
-    activate_coverage,
     coverage_document,
     coverage_json,
-    disable_coverage,
     state_graph_census,
 )
 from repro.obs.report_html import coverage_html
+from repro.obs.switch import SWITCH, activate
 
 
 def _snapshot_setup():
@@ -64,7 +62,7 @@ def _snapshot_setup():
 def bench_snapshot_cov_off(benchmark):
     """Baseline: the full snapshot workload, coverage disabled."""
     spec, terms = _snapshot_setup()
-    disable_coverage()
+    assert SWITCH.coverage is None
 
     def run():
         engine = RewriteEngine(spec)
@@ -79,14 +77,11 @@ def bench_snapshot_cov_on(benchmark):
     spec, terms = _snapshot_setup()
 
     def run():
-        with activate_coverage():
+        with activate(coverage=CoverageRecorder()):
             engine = RewriteEngine(spec)
             return [engine.evaluate(term) for term in terms]
 
-    try:
-        benchmark(run)
-    finally:
-        disable_coverage()
+    benchmark(run)
 
 
 def bench_explore_cov_on(benchmark):
@@ -95,15 +90,13 @@ def bench_explore_cov_on(benchmark):
     spec = courses_algebraic()
 
     def run():
-        with activate_coverage() as recorder:
+        recorder = CoverageRecorder()
+        with activate(coverage=recorder):
             graph = TraceAlgebra(spec).explore()
             recorder.record_explore(state_graph_census(graph))
             return graph
 
-    try:
-        benchmark(run)
-    finally:
-        disable_coverage()
+    benchmark(run)
 
 
 def _recorded_run():
@@ -113,7 +106,7 @@ def _recorded_run():
 
     framework = APPLICATIONS["courses"]()
     recorder = CoverageRecorder()
-    with activate_coverage(recorder):
+    with activate(coverage=recorder):
         framework.verify_pipeline()
     return framework.algebraic, recorder
 

@@ -11,12 +11,9 @@ import pytest
 
 from repro.applications.bank import bank_schema_source
 from repro.applications.courses import courses_schema_source
-from repro.logic import formulas as fm
-from repro.logic.signature import PredicateSymbol
 from repro.logic.sorts import Sort
-from repro.logic.terms import Var
 from repro.rpr.ast import Insert, RelationDecl, Schema, Star, Union
-from repro.rpr.ast import ProcDecl, ValueLiteral
+from repro.rpr.ast import ValueLiteral
 from repro.rpr.interpreter import Database
 from repro.rpr.parser import parse_schema
 from repro.rpr.semantics import initial_state, run

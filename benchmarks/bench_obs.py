@@ -1,7 +1,8 @@
 """E14 — observability overhead: spans off, spans on, and export cost.
 
 The tracer's contract is that *disabled* instrumentation is free: every
-hot-path call is one ``OBS_STATE.enabled`` load and branch, and
+hot-path call is one load of the ``tracer`` slot of
+:data:`repro.obs.switch.SWITCH` and one branch, and
 :func:`repro.obs.tracer.span` returns a shared no-op handle.  The
 benchmark pair ``bench_snapshot_plain`` / ``bench_snapshot_noop_spans``
 runs the same snapshot workload with and without a layer of disabled
@@ -27,7 +28,8 @@ from repro.algebraic.rewriting import RewriteEngine
 from repro.applications.courses import courses_algebraic
 from repro.logic.terms import App
 from repro.obs.export import to_chrome_json
-from repro.obs.tracer import Tracer, activate, count, disable, span
+from repro.obs.switch import SWITCH, activate
+from repro.obs.tracer import Tracer, count, span
 
 
 def _snapshot_setup():
@@ -64,7 +66,7 @@ def _snapshot_setup():
 def bench_snapshot_plain(benchmark):
     """Baseline: the full snapshot workload, tracing disabled."""
     spec, terms = _snapshot_setup()
-    disable()
+    assert SWITCH.tracer is None
 
     def run():
         engine = RewriteEngine(spec)
@@ -78,7 +80,7 @@ def bench_snapshot_noop_spans(benchmark):
     counter calls the engine instrumentation adds per coarse unit —
     the gated <= 5% comparison against plain."""
     spec, terms = _snapshot_setup()
-    disable()
+    assert SWITCH.tracer is None
 
     def run():
         with span("bench.snapshot", length=30):
@@ -98,7 +100,7 @@ def bench_snapshot_traced(benchmark):
     spec, terms = _snapshot_setup()
 
     def run():
-        with activate():
+        with activate(Tracer()):
             with span("bench.snapshot", length=30):
                 engine = RewriteEngine(spec)
                 values = []
@@ -107,16 +109,13 @@ def bench_snapshot_traced(benchmark):
                     values.append(engine.evaluate(term))
                 return values
 
-    try:
-        benchmark(run)
-    finally:
-        disable()
+    benchmark(run)
 
 
 def bench_explore_off(benchmark):
     """Full state-space exploration, tracing disabled."""
     spec = courses_algebraic()
-    disable()
+    assert SWITCH.tracer is None
     benchmark(lambda: TraceAlgebra(spec).explore())
 
 
@@ -126,13 +125,10 @@ def bench_explore_traced(benchmark):
     spec = courses_algebraic()
 
     def run():
-        with activate():
+        with activate(Tracer()):
             return TraceAlgebra(spec).explore()
 
-    try:
-        benchmark(run)
-    finally:
-        disable()
+    benchmark(run)
 
 
 def bench_export_chrome(benchmark):
@@ -211,11 +207,10 @@ def _serve_round(server, encoded):
 
 def bench_serving_tel_off(benchmark):
     """Baseline: the serving workload with telemetry disabled (each
-    instrumentation point costs one ``TEL_STATE.enabled`` branch)."""
-    from repro.obs.telemetry import disable_telemetry
-
+    instrumentation point costs one load of the switch's
+    ``telemetry`` slot and one branch)."""
     server, encoded, tmp = _serving_setup()
-    disable_telemetry()
+    assert SWITCH.telemetry is None
     try:
         benchmark(_serve_round, server, encoded)
     finally:
@@ -226,11 +221,11 @@ def bench_serving_tel_on(benchmark):
     """The identical workload with telemetry ON — the pair gated at
     <= 5% by ``check_obs_overhead.py`` (``repro serve`` always
     enables telemetry, so its *enabled* cost is the contract)."""
-    from repro.obs.telemetry import activate_telemetry
+    from repro.obs.telemetry import Telemetry
 
     server, encoded, tmp = _serving_setup()
     try:
-        with activate_telemetry():
+        with activate(telemetry=Telemetry()):
             benchmark(_serve_round, server, encoded)
     finally:
         tmp.cleanup()

@@ -27,7 +27,8 @@ from repro.errors import ReproError, SpecificationError
 from repro.algebraic.rewriting import RewriteEngine, Value
 from repro.algebraic.spec import AlgebraicSpec
 from repro.obs.stats import counter_delta, engine_counters
-from repro.obs.tracer import OBS_STATE as _OBS, count as _count, span as _span
+from repro.obs.switch import SWITCH
+from repro.obs.tracer import count as _count, span as _span
 from repro.logic.terms import App, Term
 
 __all__ = ["TraceAlgebra", "Snapshot", "StateGraph", "Transition"]
@@ -140,10 +141,6 @@ class Snapshot:
             }
             object.__setattr__(self, "_relations", relations)
         return relations.get(query, _EMPTY_RELATION)
-
-    def as_dict(self) -> dict[tuple[str, tuple[str, ...]], Value]:
-        """The snapshot as a mutable dictionary."""
-        return dict(self.entries)
 
     def __str__(self) -> str:
         positives = [
@@ -364,8 +361,9 @@ class TraceAlgebra:
         By the observability condition, the snapshot identifies the
         abstract state the trace denotes.
         """
-        if _OBS.enabled:
-            _OBS.tracer.count("algebra.snapshots")
+        tracer = SWITCH.tracer
+        if tracer is not None:
+            tracer.count("algebra.snapshots")
         if self.packed:
             values = self.engine.evaluate_cells(trace, self._observations)
             entries = tuple(sorted(zip(self._observations, values)))
@@ -450,12 +448,11 @@ class TraceAlgebra:
         active), ``outside_fragment``, ``unsupported_midrun`` (a plan
         gap during the run) or ``spec_error`` (a specification error
         the object path reports with its exact message)."""
-        from repro.obs.coverage import COV_STATE as _COV_STATE
         from repro.algebraic.exploration import PackedUnsupported
 
         if not self.packed:
             return _object_path("disabled")
-        if _COV_STATE.enabled:
+        if SWITCH.coverage is not None:
             return _object_path("coverage")
         explorer = self.packed_explorer()
         if explorer is None:

@@ -49,8 +49,8 @@ from repro.algebraic.equations import ConditionalEquation
 from repro.algebraic.spec import AlgebraicSpec
 from repro.algebraic.tracetable import TraceTable, evaluate_rows
 from repro.logic.terms import App, Term, Var
-from repro.obs.coverage import COV_STATE as _COV
 from repro.obs.stats import counter_delta, engine_counters
+from repro.obs.switch import SWITCH
 from repro.obs.tracer import count as _count, record as _record, span as _span
 
 __all__ = [
@@ -272,7 +272,7 @@ def check_coverage(
     """
     missing = _missing_constructors(spec)
     # While coverage records, fire sets come from the reference loop.
-    batch = not _COV.enabled
+    batch = SWITCH.coverage is None
     if not batch:
         _count("completeness.fallback.coverage")
     entries = None

@@ -16,7 +16,7 @@ from functools import cached_property
 from repro.errors import SpecificationError
 from repro.logic import formulas as fm
 from repro.logic.sorts import STATE
-from repro.logic.terms import App, Term, Var
+from repro.logic.terms import App, Term
 
 __all__ = ["ConditionalEquation"]
 
@@ -133,11 +133,3 @@ class ConditionalEquation:
         if self.condition is None:
             return f"{prefix}{body}"
         return f"{prefix}{self.condition} => {body}"
-
-
-def variables_of(equation: ConditionalEquation) -> frozenset[Var]:
-    """All variables occurring in an equation (lhs, rhs and condition)."""
-    out = equation.lhs.free_vars() | equation.rhs.free_vars()
-    if equation.condition is not None:
-        out |= equation.condition.free_vars()
-    return out

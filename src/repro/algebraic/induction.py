@@ -46,7 +46,7 @@ from repro.algebraic.rewriting import RewriteEngine
 from repro.algebraic.spec import AlgebraicSpec
 from repro.logic.sorts import BOOLEAN, STATE
 from repro.logic.terms import App, Term, Var
-from repro.obs.coverage import COV_STATE as _COV
+from repro.obs.switch import SWITCH
 from repro.obs.tracer import count as _count
 
 __all__ = [
@@ -315,7 +315,7 @@ def _plan_explorer(algebra: TraceAlgebra):
         PackedUnsupported,
     )
 
-    if _COV.enabled:
+    if SWITCH.coverage is not None:
         return None, "coverage"
     try:
         explorer = PackedExplorer(algebra)

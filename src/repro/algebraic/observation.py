@@ -27,7 +27,7 @@ from repro.algebraic.algebra import Snapshot, TraceAlgebra
 from repro.algebraic.tracetable import Row, TraceTable
 from repro.errors import ReproError
 from repro.logic.terms import Term
-from repro.obs.coverage import COV_STATE as _COV
+from repro.obs.switch import SWITCH
 from repro.obs.tracer import count as _count
 
 __all__ = [
@@ -131,7 +131,7 @@ def check_congruence(
             observational class.
         table: the shared trace table, if one was built.
     """
-    if _COV.enabled:
+    if SWITCH.coverage is not None:
         reason = "coverage"
     elif not algebra.packed:
         reason = "disabled"

@@ -50,8 +50,7 @@ from repro.errors import (
     IncompletenessError,
     NonTerminationError,
 )
-from repro.obs.coverage import COV_STATE as _COV
-from repro.obs.tracer import OBS_STATE as _OBS
+from repro.obs.switch import SWITCH
 from repro.algebraic.equations import ConditionalEquation
 from repro.algebraic.spec import AlgebraicSpec
 from repro.logic import formulas as fm
@@ -293,9 +292,11 @@ class RewriteEngine:
                 application encountered.
             NonTerminationError: if the fuel budget is exhausted.
         """
-        if _OBS.enabled:
-            _OBS.tracer.count("rewrite.evaluate.calls")
-        if _COV.enabled:
+        tracer = SWITCH.tracer
+        if tracer is not None:
+            tracer.count("rewrite.evaluate.calls")
+        coverage = SWITCH.coverage
+        if coverage is not None:
             # Top-level dispatch-cell census: the multiset of these
             # calls is exactly the workload, and each check runs in
             # exactly one process — so summed per-cell counts are
@@ -307,7 +308,7 @@ class RewriteEngine:
             ):
                 state = term.args[-1]
                 if isinstance(state, App):
-                    _COV.recorder.record_dispatch(
+                    coverage.record_dispatch(
                         term.symbol.name, state.symbol.name
                     )
         if term.sort == STATE:
@@ -358,8 +359,9 @@ class RewriteEngine:
             )
         if not self.spec.u_equations:
             return term
-        if _OBS.enabled:
-            _OBS.tracer.count("rewrite.normalize.calls")
+        tracer = SWITCH.tracer
+        if tracer is not None:
+            tracer.count("rewrite.normalize.calls")
         budget = [self._fuel_limit]
         return self._normalize(term, budget)
 
@@ -386,8 +388,9 @@ class RewriteEngine:
                     continue
             rewritten = apply_to_term(substitution, equation.rhs)
             self.rewrite_steps += 1
-            if _COV.enabled:
-                _COV.recorder.record_u_fire(
+            coverage = SWITCH.coverage
+            if coverage is not None:
+                coverage.record_u_fire(
                     current.symbol.name, self._index_of(equation)
                 )
             if not isinstance(rewritten, App):
@@ -441,17 +444,17 @@ class RewriteEngine:
             self._obs_programs[id(observations)] = programs
         trace_id = arena.intern(trace)
         constructor = trace.symbol.name
-        obs_enabled = _OBS.enabled
-        cov_enabled = _COV.enabled
+        tracer = SWITCH.tracer
+        coverage = SWITCH.coverage
         app = arena.app
         eval_idx = self._eval_idx
         fuel = self._fuel_limit
         values: list[Value] = []
         for name, qsid, arg_ids in programs[1]:
-            if obs_enabled:
-                _OBS.tracer.count("rewrite.evaluate.calls")
-            if cov_enabled:
-                _COV.recorder.record_dispatch(name, constructor)
+            if tracer is not None:
+                tracer.count("rewrite.evaluate.calls")
+            if coverage is not None:
+                coverage.record_dispatch(name, constructor)
             node = app(qsid, (*arg_ids, trace_id))
             budget = [fuel]
             try:
@@ -507,12 +510,6 @@ class RewriteEngine:
     def cache_size(self) -> int:
         """Number of memoized ground-term results."""
         return len(self._cache)
-
-    @property
-    def dispatch_size(self) -> int:
-        """Number of compiled dispatch entries (symbol closures plus
-        per-(query, constructor) equation tables)."""
-        return len(self._dispatch) + len(self._equation_tables)
 
     # ------------------------------------------------------------------
     # evaluation core
@@ -693,11 +690,12 @@ class RewriteEngine:
                     continue
             instantiated = apply_to_term(bindings, rhs)
             self.rewrite_steps += 1
-            if _COV.enabled:
+            coverage = SWITCH.coverage
+            if coverage is not None:
                 # Fired-equation *sets* union-merge exactly: within an
                 # engine the memo-missed terms are the needed terms,
                 # and need distributes over workload unions.
-                _COV.recorder.record_fire(
+                coverage.record_fire(
                     term.symbol.name, constructor, eq_index
                 )
             return self._eval(instantiated, budget)
@@ -865,10 +863,11 @@ class RewriteEngine:
             if condition is not None and not condition(bind, budget):
                 continue
             self.rewrite_steps += 1
-            if _COV.enabled:
+            coverage = SWITCH.coverage
+            if coverage is not None:
                 # Same union-invariance argument as the object path:
                 # arena memo misses are exactly the needed nodes.
-                _COV.recorder.record_fire(qname, constructor, eq_index)
+                coverage.record_fire(qname, constructor, eq_index)
             return rhs(bind, budget)
         raise IncompletenessError(
             f"no equation applies to {arena.term(node)} (query "

@@ -295,10 +295,6 @@ class AlgebraicSignature:
         """Boolean implication term."""
         return App(self.logic.function("implies"), (lhs, rhs))
 
-    def iff_(self, lhs: Term, rhs: Term) -> App:
-        """Boolean biconditional term."""
-        return App(self.logic.function("iff"), (lhs, rhs))
-
     def eq(self, lhs: Term, rhs: Term) -> App:
         """Equality-test term ``eq_<sort>(lhs, rhs)`` for a parameter
         sort."""

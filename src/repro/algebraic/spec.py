@@ -118,14 +118,6 @@ class AlgebraicSpec:
         declaration order (used as trace-normalization rules)."""
         return self._u_index.get(constructor, ())
 
-    def with_equations(
-        self, extra: list[ConditionalEquation]
-    ) -> "AlgebraicSpec":
-        """Return a spec with additional equations appended."""
-        return AlgebraicSpec(
-            self.signature, self.equations + tuple(extra), self.name
-        )
-
     def __str__(self) -> str:
         lines = [f"Algebraic specification: {self.name}"]
         for equation in self.equations:

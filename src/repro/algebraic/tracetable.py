@@ -30,8 +30,8 @@ from repro.algebraic.algebra import TraceAlgebra
 from repro.algebraic.rewriting import Value
 from repro.errors import ReproError
 from repro.logic.terms import Term
-from repro.obs.coverage import COV_STATE as _COV
 from repro.obs.stats import counter_delta, engine_counters
+from repro.obs.switch import SWITCH
 from repro.obs.tracer import record as _record
 
 __all__ = ["Row", "TraceTable", "build_trace_table", "evaluate_rows"]
@@ -96,7 +96,7 @@ def build_trace_table(
     on the active span.  Returns ``None``, evaluating nothing, while
     coverage records or when the algebra is not ``packed``.
     """
-    if _COV.enabled or not algebra.packed:
+    if SWITCH.coverage is not None or not algebra.packed:
         return None
     before = engine_counters(algebra.engine)
     traces: list[Term] = []

@@ -208,9 +208,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return _run_verify(args)
     import json
 
-    from repro.obs.telemetry import activate_telemetry
+    from repro.obs.switch import activate
+    from repro.obs.telemetry import Telemetry
 
-    with activate_telemetry() as telemetry:
+    telemetry = Telemetry()
+    with activate(telemetry=telemetry):
         code = _run_verify(args)
         payload = json.dumps(
             telemetry.snapshot(), indent=2, sort_keys=True
@@ -223,10 +225,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    from contextlib import nullcontext
-
     from repro.errors import SpecificationError
-    from repro.obs.tracer import Tracer, activate
+    from repro.obs.coverage import CoverageRecorder
+    from repro.obs.switch import activate
+    from repro.obs.tracer import Tracer
     from repro.parallel.backends import ExecutorBackendError
 
     names = (
@@ -276,23 +278,11 @@ def _run_verify(args: argparse.Namespace) -> int:
             return 2
         framework = factory()
         started = time.perf_counter()
-        activation = (
-            activate(tracer) if tracer is not None else nullcontext()
-        )
-        recorder = None
-        cov_scope = nullcontext()
-        if want_coverage:
-            from repro.obs.coverage import (
-                CoverageRecorder,
-                activate_coverage,
-            )
-
-            # One recorder per application: documents never mix
-            # coverage across specs.
-            recorder = CoverageRecorder()
-            cov_scope = activate_coverage(recorder)
+        # One recorder per application: documents never mix coverage
+        # across specs.
+        recorder = CoverageRecorder() if want_coverage else None
         try:
-            with activation, cov_scope:
+            with activate(tracer, recorder):
                 result = framework.verify_pipeline(
                     completeness_depth=args.depth,
                     congruence_depth=args.depth,
@@ -541,9 +531,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # Serving always runs with live telemetry: the overhead is gated
     # at <= 5% by benchmarks/check_obs_overhead.py, and the
     # 'telemetry' op plus 'repro top' depend on it being there.
-    from repro.obs.telemetry import activate_telemetry
+    from repro.obs.switch import activate
+    from repro.obs.telemetry import Telemetry
 
-    with activate_telemetry() as telemetry:
+    telemetry = Telemetry()
+    with activate(telemetry=telemetry):
         code = serve(
             runtime,
             host=args.host,

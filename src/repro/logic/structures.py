@@ -12,7 +12,7 @@ Structures are immutable; state transitions produce new structures via
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from typing import Any, Hashable, Iterable
 
 from repro.errors import EvaluationError, SignatureError
@@ -209,16 +209,3 @@ def _sorted_rows(extension: frozenset[tuple]) -> list[tuple]:
         return sorted(extension)
     except TypeError:  # rows mixing incomparable value types
         return sorted(extension, key=repr)
-
-
-def make_function_table(
-    symbol_name: str,
-    carrier_args: list[tuple],
-    fn: Callable[..., Hashable],
-) -> dict[tuple, Hashable]:
-    """Tabulate a Python callable over explicit argument tuples.
-
-    Handy for giving extensional (and therefore hashable/comparable)
-    interpretations to parameter-sort operations.
-    """
-    return {args: fn(*args) for args in carrier_args}

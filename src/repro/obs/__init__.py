@@ -8,8 +8,13 @@ statistics records read off its span counters
 (:mod:`repro.obs.export`) — Chrome ``chrome://tracing`` JSON, a flat
 JSONL event log, and a human summary tree.
 
-Tracing is off by default and costs one branch per instrumentation
-point when off.  Turn it on around a block::
+Tracing, proof coverage and live telemetry share one process-wide
+switch (:mod:`repro.obs.switch`): :data:`SWITCH` holds the active
+tracer, coverage recorder and telemetry registry in three slots,
+``None`` when the facility is off, so each instrumentation point
+costs one attribute load and one branch while its facility is off.
+:func:`activate` turns facilities on around a block and restores all
+three slots afterwards::
 
     from repro import obs
 
@@ -21,20 +26,20 @@ point when off.  Turn it on around a block::
 
 or from the CLI: ``python -m repro verify courses --trace trace.json``.
 
-Worker processes forked by :mod:`repro.parallel` inherit the enabled
-flag; their per-chunk span buffers are merged back **in deterministic
+Worker processes forked by :mod:`repro.parallel` inherit the switch;
+their per-chunk span buffers are merged back **in deterministic
 chunk order**, so traces are deterministic for every worker count.
 
 Live telemetry for the long-running serving processes
-(:mod:`repro.obs.telemetry`) follows the same one-branch switch
-discipline under its own ``TEL_STATE`` flag: mergeable log-bucketed
-latency histograms, windowed rate counters and a structured event
-ring, queryable over the ``telemetry`` op of ``repro serve`` and
-``repro worker``, rendered by ``repro top``, and exportable as
-Prometheus text exposition (:func:`~repro.obs.export.prometheus_text`).
+(:mod:`repro.obs.telemetry`, ``activate(telemetry=Telemetry())``):
+mergeable log-bucketed latency histograms, windowed rate counters and
+a structured event ring, queryable over the ``telemetry`` op of
+``repro serve`` and ``repro worker``, rendered by ``repro top``, and
+exportable as Prometheus text exposition
+(:func:`~repro.obs.export.prometheus_text`).
 
-Proof-coverage recording (:mod:`repro.obs.coverage`) follows the same
-switch discipline under its own flag: a
+Proof-coverage recording (:mod:`repro.obs.coverage`,
+``activate(coverage=CoverageRecorder())``): a
 :class:`~repro.obs.coverage.CoverageRecorder` collects which equation
 dispatch cells, state-graph regions, and W-grammar rules a run
 exercised; :mod:`repro.obs.provenance` attaches per-check provenance
@@ -44,16 +49,10 @@ self-contained HTML report.
 """
 
 from repro.obs.coverage import (
-    COV_STATE,
     CoverageRecorder,
-    activate_coverage,
-    capture_coverage,
     coverage_digest,
     coverage_document,
-    coverage_enabled,
     coverage_json,
-    disable_coverage,
-    enable_coverage,
     payload_digest,
     state_graph_census,
 )
@@ -67,16 +66,7 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import (
-    TEL_STATE,
-    LatencyHistogram,
-    Telemetry,
-    activate_telemetry,
-    current_telemetry,
-    disable_telemetry,
-    enable_telemetry,
-    telemetry_enabled,
-)
+from repro.obs.telemetry import LatencyHistogram, Telemetry
 from repro.obs.provenance import (
     counterexamples_of,
     pipeline_provenance,
@@ -85,43 +75,20 @@ from repro.obs.provenance import (
     trace_updates,
 )
 from repro.obs.report_html import coverage_html
-from repro.obs.tracer import (
-    OBS_STATE,
-    Span,
-    Tracer,
-    activate,
-    capture,
-    count,
-    current_tracer,
-    disable,
-    enable,
-    is_enabled,
-    record,
-    span,
-)
+from repro.obs.switch import SWITCH, activate
+from repro.obs.tracer import Span, Tracer, count, record, span
 
 __all__ = [
+    "SWITCH",
+    "activate",
     "Span",
     "Tracer",
-    "OBS_STATE",
     "span",
     "count",
     "record",
-    "enable",
-    "disable",
-    "is_enabled",
-    "current_tracer",
-    "activate",
-    "capture",
     "MetricsRegistry",
-    "TEL_STATE",
     "LatencyHistogram",
     "Telemetry",
-    "telemetry_enabled",
-    "enable_telemetry",
-    "disable_telemetry",
-    "activate_telemetry",
-    "current_telemetry",
     "chrome_trace_events",
     "to_chrome_json",
     "write_chrome_trace",
@@ -129,13 +96,7 @@ __all__ = [
     "write_jsonl",
     "format_tree",
     "prometheus_text",
-    "COV_STATE",
     "CoverageRecorder",
-    "coverage_enabled",
-    "enable_coverage",
-    "disable_coverage",
-    "activate_coverage",
-    "capture_coverage",
     "state_graph_census",
     "coverage_document",
     "coverage_digest",

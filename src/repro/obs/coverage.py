@@ -17,10 +17,12 @@ checks actually visited, so a pass can be audited for vacuity:
 * **W-grammar usage** — per-hyperrule application counts and
   per-metanotion membership-query counts from the schema recognizer.
 
-The recorder follows the tracer's one-branch discipline
-(:data:`repro.obs.tracer.OBS_STATE`): hot paths poll
-``COV_STATE.enabled`` — one attribute load and one branch when
-coverage is off — and only then touch the recorder.
+The active recorder sits in the ``coverage`` slot of
+:data:`repro.obs.switch.SWITCH`, the switch the tracer and telemetry
+share: hot paths load the slot and touch the recorder only when it is
+not ``None`` — one attribute load and one branch when coverage is
+off.  ``with activate(coverage=CoverageRecorder()):`` records a
+block.
 
 **Determinism.**  Everything exported here is invariant under the
 worker count and under cache warmth, by construction:
@@ -53,12 +55,6 @@ from typing import Any, Mapping
 
 __all__ = [
     "CoverageRecorder",
-    "COV_STATE",
-    "coverage_enabled",
-    "enable_coverage",
-    "disable_coverage",
-    "activate_coverage",
-    "capture_coverage",
     "state_graph_census",
     "coverage_document",
     "coverage_digest",
@@ -140,7 +136,7 @@ class CoverageRecorder:
         }
 
     # ------------------------------------------------------------------
-    # recording (hot paths; called only when COV_STATE.enabled)
+    # recording (hot paths; called only while coverage is on)
     # ------------------------------------------------------------------
     def record_dispatch(self, query: str, constructor: str) -> None:
         """Count one top-level evaluation entering a dispatch cell."""
@@ -260,123 +256,6 @@ class CoverageRecorder:
             or self.metanotions
             or self.explore is not None
         )
-
-
-# ---------------------------------------------------------------------
-# the process-wide switch (mirrors repro.obs.tracer.OBS_STATE)
-# ---------------------------------------------------------------------
-class _CovState:
-    """The module-level switch hot paths poll: one attribute load and
-    one branch when coverage is disabled."""
-
-    __slots__ = ("enabled", "recorder")
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self.recorder: CoverageRecorder | None = None
-
-
-#: The process-wide coverage switch.  Hot paths read
-#: ``COV_STATE.enabled`` inline; forked workers inherit it.
-COV_STATE = _CovState()
-
-
-def coverage_enabled() -> bool:
-    """True iff coverage recording is on in this process."""
-    return COV_STATE.enabled
-
-
-def enable_coverage(
-    recorder: CoverageRecorder | None = None,
-) -> CoverageRecorder:
-    """Turn coverage recording on (creating a recorder if none is
-    given) and return the active recorder."""
-    state = COV_STATE
-    state.recorder = recorder if recorder is not None else CoverageRecorder()
-    state.enabled = True
-    return state.recorder
-
-
-def disable_coverage() -> CoverageRecorder | None:
-    """Turn coverage recording off; returns the recorder that was
-    active."""
-    state = COV_STATE
-    previous = state.recorder
-    state.enabled = False
-    state.recorder = None
-    return previous
-
-
-class _CovActivation:
-    """Context manager scoping :func:`enable_coverage`, restoring
-    whatever state was active before (re-entrant, like the tracer's
-    ``activate``)."""
-
-    __slots__ = ("_recorder", "_saved")
-
-    def __init__(self, recorder: CoverageRecorder | None):
-        self._recorder = recorder
-        self._saved: tuple[bool, CoverageRecorder | None] | None = None
-
-    def __enter__(self) -> CoverageRecorder:
-        state = COV_STATE
-        self._saved = (state.enabled, state.recorder)
-        return enable_coverage(self._recorder)
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        state = COV_STATE
-        state.enabled, state.recorder = self._saved
-        return False
-
-
-def activate_coverage(
-    recorder: CoverageRecorder | None = None,
-) -> _CovActivation:
-    """Scoped coverage: enable for the block, restore afterwards."""
-    return _CovActivation(recorder)
-
-
-class _CovCapture:
-    """Context manager giving a block its own fresh recorder.
-
-    With ``merge=True`` the captured facts are folded into the
-    previously active recorder on exit (the per-check isolation the
-    result cache needs: each check's payload is a function of that
-    check alone, not of schedule context).  With ``merge=False`` the
-    facts are *only* in the capture (the worker-chunk path: the parent
-    merges the shipped payload exactly once, and the in-process
-    fallback must not double-count).
-    """
-
-    __slots__ = ("_merge", "_saved", "recorder")
-
-    def __init__(self, merge: bool):
-        self._merge = merge
-        self._saved: CoverageRecorder | None = None
-        self.recorder: CoverageRecorder | None = None
-
-    def __enter__(self) -> CoverageRecorder:
-        state = COV_STATE
-        self._saved = state.recorder
-        self.recorder = CoverageRecorder()
-        state.recorder = self.recorder
-        return self.recorder
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        state = COV_STATE
-        state.recorder = self._saved
-        if self._merge and self._saved is not None:
-            self._saved.merge(self.recorder)
-        return False
-
-
-def capture_coverage(merge: bool = True) -> _CovCapture:
-    """Run a block under a fresh, isolated recorder.
-
-    Only call when coverage is enabled.  See :class:`_CovCapture` for
-    the ``merge`` discipline.
-    """
-    return _CovCapture(merge)
 
 
 # ---------------------------------------------------------------------

@@ -4,7 +4,7 @@
 tree per ``verify()``.  The long-running processes (``repro serve``,
 ``repro worker``, ``repro watch``) need the complementary view:
 continuously accumulated, queryable, low-overhead aggregates.  This
-module provides the three primitives and the process-wide switch:
+module provides them in two classes:
 
 :class:`LatencyHistogram`
     Log-bucketed latency distribution over ``time.perf_counter_ns``
@@ -25,13 +25,14 @@ module provides the three primitives and the process-wide switch:
     chunks all funnel through :meth:`Telemetry.observe`, so the slow
     tail of each is inspectable without a tracer.
 
-:data:`TEL_STATE`
-    The module-level switch, mirroring
-    :data:`~repro.obs.tracer.OBS_STATE`: instrumentation points read
-    ``TEL_STATE.enabled`` inline, so telemetry off costs one
-    attribute load and one branch per site
-    (``benchmarks/bench_obs.py`` gates telemetry *on* at <= 5% of the
-    serving workload; off is strictly cheaper).
+The active registry sits in the ``telemetry`` slot of
+:data:`repro.obs.switch.SWITCH`, the switch the tracer and coverage
+share: instrumentation points load the slot into a local and observe
+only when it is not ``None``, so telemetry off costs one attribute
+load and one branch per site (``benchmarks/bench_obs.py`` gates
+telemetry *on* at <= 5% of the serving workload; off is strictly
+cheaper).  ``with activate(telemetry=Telemetry()):`` turns it on for
+a block.
 
 Snapshots (:meth:`Telemetry.snapshot`) are what the runtime server's
 and worker protocol's ``telemetry`` ops return and what ``repro top``
@@ -45,16 +46,7 @@ import threading
 import time
 from typing import Any, Iterator, Mapping
 
-__all__ = [
-    "LatencyHistogram",
-    "Telemetry",
-    "TEL_STATE",
-    "telemetry_enabled",
-    "current_telemetry",
-    "enable_telemetry",
-    "disable_telemetry",
-    "activate_telemetry",
-]
+__all__ = ["LatencyHistogram", "Telemetry"]
 
 #: Sub-buckets per power of two (resolution ~ +25% per bucket).
 _SUBBUCKETS = 4
@@ -416,78 +408,3 @@ class Telemetry:
             "counters": counters,
             "events": recent,
         }
-
-
-class _TelState:
-    """The module-level switch hot paths poll: one attribute load
-    and one branch when disabled (the ``OBS_STATE`` discipline)."""
-
-    __slots__ = ("enabled", "telemetry")
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self.telemetry: Telemetry | None = None
-
-
-#: The process-wide telemetry switch.  Instrumentation points read
-#: ``TEL_STATE.enabled`` inline; forked workers inherit it.
-TEL_STATE = _TelState()
-
-
-def telemetry_enabled() -> bool:
-    """True iff telemetry is currently enabled in this process."""
-    return TEL_STATE.enabled
-
-
-def current_telemetry() -> Telemetry | None:
-    """The active registry, or ``None`` when telemetry is disabled."""
-    return TEL_STATE.telemetry if TEL_STATE.enabled else None
-
-
-def enable_telemetry(
-    telemetry: Telemetry | None = None,
-) -> Telemetry:
-    """Turn telemetry on (creating a registry if none is given) and
-    return the active registry."""
-    state = TEL_STATE
-    state.telemetry = telemetry if telemetry is not None else Telemetry()
-    state.enabled = True
-    return state.telemetry
-
-
-def disable_telemetry() -> Telemetry | None:
-    """Turn telemetry off; returns the registry that was active."""
-    state = TEL_STATE
-    previous = state.telemetry
-    state.enabled = False
-    state.telemetry = None
-    return previous
-
-
-class _TelemetryActivation:
-    """Context manager scoping enable/disable, restoring whatever
-    state was active before (test- and CLI-friendly)."""
-
-    __slots__ = ("_telemetry", "_saved")
-
-    def __init__(self, telemetry: Telemetry | None):
-        self._telemetry = telemetry
-        self._saved: tuple[bool, Telemetry | None] | None = None
-
-    def __enter__(self) -> Telemetry:
-        state = TEL_STATE
-        self._saved = (state.enabled, state.telemetry)
-        return enable_telemetry(self._telemetry)
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        state = TEL_STATE
-        state.enabled, state.telemetry = self._saved
-        return False
-
-
-def activate_telemetry(
-    telemetry: Telemetry | None = None,
-) -> _TelemetryActivation:
-    """Scoped telemetry: ``with activate_telemetry():`` enables the
-    registry for the block and restores the previous state after."""
-    return _TelemetryActivation(telemetry)

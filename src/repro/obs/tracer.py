@@ -9,15 +9,18 @@ the innermost ``with span(...)`` block on the current tracer's stack.
 
 The module is built around one hard constraint: **tracing off must be
 free**.  All instrumentation funnels through :func:`span` and
-:func:`count`, which consult the module-level :data:`OBS_STATE` holder
-first; when tracing is disabled they return a shared no-op handle (or
-return immediately), so the per-call cost in the hot paths is one
-attribute load and one branch.  ``benchmarks/bench_obs.py`` gates this
-at <= 5% on the snapshot workload.
+:func:`count`, which load the ``tracer`` slot of
+:data:`repro.obs.switch.SWITCH` first; when it is ``None`` they return
+a shared no-op handle (or return immediately), so the per-call cost in
+the hot paths is one attribute load and one branch.
+``benchmarks/bench_obs.py`` gates this at <= 5% on the snapshot
+workload.  Tracing is turned on around a block with
+``with activate(Tracer()):`` (:func:`repro.obs.switch.activate`).
 
 Worker processes created by :mod:`repro.parallel.executor` inherit the
-enabled flag through ``fork``; each chunk runs under :func:`capture`,
-which gives the worker a fresh buffer rooted at one ``chunk`` span.
+switch through ``fork``; each chunk activates a fresh tracer and opens
+one ``chunk`` span in it, so the worker fills its own buffer whatever
+stack the parent had open at fork time.
 The serialized buffers travel back through
 :class:`~repro.parallel.executor.WorkerStats` and are grafted under the
 parent's active span **in chunk submission order** — the order the
@@ -32,20 +35,9 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any, Iterator, Mapping
 
-__all__ = [
-    "Span",
-    "Tracer",
-    "OBS_STATE",
-    "span",
-    "count",
-    "record",
-    "enable",
-    "disable",
-    "is_enabled",
-    "current_tracer",
-    "activate",
-    "capture",
-]
+from repro.obs.switch import SWITCH
+
+__all__ = ["Span", "Tracer", "span", "count", "record"]
 
 
 class Span:
@@ -160,8 +152,8 @@ class _SpanHandle:
 
 class _NoopSpan:
     """The shared do-nothing span handle returned while tracing is
-    disabled.  Supports the same surface as a real span/handle so call
-    sites never branch beyond the enabled check."""
+    off.  Supports the same surface as a real span/handle so call
+    sites never branch beyond the slot check."""
 
     __slots__ = ()
 
@@ -238,140 +230,27 @@ class Tracer:
         return totals
 
 
-class _ObsState:
-    """The module-level switch hot paths poll: one attribute load and
-    one branch when disabled."""
-
-    __slots__ = ("enabled", "tracer")
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self.tracer: Tracer | None = None
-
-
-#: The process-wide observability switch.  Hot paths read
-#: ``OBS_STATE.enabled`` inline; forked workers inherit it.
-OBS_STATE = _ObsState()
-
-
 def span(name: str, **attrs: Any):
     """Open a span on the active tracer; a shared no-op handle when
-    tracing is disabled (the instrumentation entry point)."""
-    state = OBS_STATE
-    if not state.enabled:
+    tracing is off (the instrumentation entry point)."""
+    tracer = SWITCH.tracer
+    if tracer is None:
         return NOOP_SPAN
-    return state.tracer.span(name, **attrs)
+    return tracer.span(name, **attrs)
 
 
 def count(name: str, n: int = 1) -> None:
     """Add ``n`` to counter ``name`` on the active span; no-op when
-    tracing is disabled (the hot-counter entry point)."""
-    state = OBS_STATE
-    if state.enabled:
-        state.tracer.count(name, n)
+    tracing is off (the hot-counter entry point)."""
+    tracer = SWITCH.tracer
+    if tracer is not None:
+        tracer.count(name, n)
 
 
 def record(counters: Mapping[str, int]) -> None:
     """Fold a counter mapping into the active span; no-op when tracing
-    is disabled."""
-    state = OBS_STATE
-    if state.enabled:
-        tracer = state.tracer
+    is off."""
+    tracer = SWITCH.tracer
+    if tracer is not None:
         for name, value in counters.items():
             tracer.count(name, value)
-
-
-def is_enabled() -> bool:
-    """True iff tracing is currently enabled in this process."""
-    return OBS_STATE.enabled
-
-
-def current_tracer() -> Tracer | None:
-    """The active tracer, or ``None`` when tracing is disabled."""
-    return OBS_STATE.tracer if OBS_STATE.enabled else None
-
-
-def enable(tracer: Tracer | None = None) -> Tracer:
-    """Turn tracing on (creating a tracer if none is given) and return
-    the active tracer."""
-    state = OBS_STATE
-    state.tracer = tracer if tracer is not None else Tracer()
-    state.enabled = True
-    return state.tracer
-
-
-def disable() -> Tracer | None:
-    """Turn tracing off; returns the tracer that was active."""
-    state = OBS_STATE
-    previous = state.tracer
-    state.enabled = False
-    state.tracer = None
-    return previous
-
-
-class _Activation:
-    """Context manager scoping :func:`enable`/:func:`disable`,
-    restoring whatever state was active before."""
-
-    __slots__ = ("_tracer", "_saved")
-
-    def __init__(self, tracer: Tracer | None):
-        self._tracer = tracer
-        self._saved: tuple[bool, Tracer | None] | None = None
-
-    def __enter__(self) -> Tracer:
-        state = OBS_STATE
-        self._saved = (state.enabled, state.tracer)
-        return enable(self._tracer)
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        state = OBS_STATE
-        state.enabled, state.tracer = self._saved
-        return False
-
-
-def activate(tracer: Tracer | None = None) -> _Activation:
-    """Scoped tracing: ``with activate(tracer):`` enables tracing for
-    the block and restores the previous state afterwards."""
-    return _Activation(tracer)
-
-
-class _Capture:
-    """Context manager giving a block its own fresh tracer rooted at
-    one span (the per-worker chunk buffer)."""
-
-    __slots__ = ("_name", "_attrs", "_saved", "tracer")
-
-    def __init__(self, name: str, attrs: dict):
-        self._name = name
-        self._attrs = attrs
-        self._saved: Tracer | None = None
-        self.tracer: Tracer | None = None
-
-    def __enter__(self) -> Tracer:
-        state = OBS_STATE
-        self._saved = state.tracer
-        self.tracer = Tracer()
-        state.tracer = self.tracer
-        handle = self.tracer.span(self._name, **self._attrs)
-        handle.__enter__()
-        return self.tracer
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        # Close the root chunk span, then restore the previous buffer.
-        stack = self.tracer._stack
-        while stack:
-            stack.pop().end = perf_counter()
-        OBS_STATE.tracer = self._saved
-        return False
-
-
-def capture(name: str, **attrs: Any) -> _Capture:
-    """Run a block under a fresh, isolated tracer rooted at one span.
-
-    Used by the fork executor so that each worker chunk fills its own
-    buffer regardless of whatever stack the parent had open at fork
-    time; the buffer's roots are what travels back to the parent.
-    Only call when tracing is enabled.
-    """
-    return _Capture(name, attrs)

@@ -561,14 +561,13 @@ class _SocketPool:
         self._pending: _SocketPending | None = None
 
     def submit(self, payloads: Sequence[tuple]) -> _SocketPending:
-        from repro.obs.coverage import COV_STATE
-        from repro.obs.tracer import OBS_STATE
+        from repro.obs.switch import SWITCH
 
         # The observability flags are captured at submission time and
         # shipped with every chunk request: remote workers cannot
         # inherit them the way forked children do.
-        trace = OBS_STATE.enabled
-        coverage = COV_STATE.enabled
+        trace = SWITCH.tracer is not None
+        coverage = SWITCH.coverage is not None
         count = len(self._sessions)
         assignment: list[list[int]] = [[] for _ in range(count)]
         for index in range(len(payloads)):

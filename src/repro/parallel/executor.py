@@ -42,8 +42,9 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.obs.coverage import COV_STATE, capture_coverage
-from repro.obs.tracer import OBS_STATE, Span, capture
+from repro.obs.coverage import CoverageRecorder
+from repro.obs.switch import SWITCH, activate
+from repro.obs.tracer import Span, Tracer, span
 from repro.parallel.backends import ExecutorBackend, resolve_backend
 
 __all__ = ["ParallelExecutor", "PendingMap", "WorkerStats"]
@@ -101,10 +102,6 @@ _CONTEXT: Any = None
 _INHERITED = object()
 
 
-def _get_context() -> Any:
-    return _CONTEXT
-
-
 def _run_chunk(payload, context: Any = _INHERITED):
     """Worker-side trampoline: time the chunk and shape its stats.
 
@@ -113,36 +110,32 @@ def _run_chunk(payload, context: Any = _INHERITED):
     virtual workers in one process pass each worker's own context
     explicitly instead.
 
-    When tracing is enabled (the flag is inherited through fork, or
+    When tracing is on (the switch is inherited through fork, or
     activated per request by the socket worker) the chunk runs under
-    its own span buffer rooted at a ``chunk`` span carrying the chunk
-    index as the ``worker`` attribute; the buffer travels back
-    serialized on :attr:`WorkerStats.spans` and the chunk's counters
-    are recorded on the chunk span, so per-worker rewrite activity is
-    visible in the exported trace.
+    its own tracer, in a ``chunk`` span carrying the chunk index as
+    the ``worker`` attribute; the buffer travels back serialized on
+    :attr:`WorkerStats.spans` and the chunk's counters are recorded on
+    the chunk span, so per-worker rewrite activity is visible in the
+    exported trace.  Likewise under coverage the chunk records into
+    its own recorder, shipped unmerged on :attr:`WorkerStats.coverage`.
     """
     fn, index, arg = payload
     chunk_context = _CONTEXT if context is _INHERITED else context
     started = time.perf_counter()
+    # Fresh buffers: the parent merges what they hold exactly once, in
+    # _absorb — merging here too would double-count under the
+    # in-process fallback, where this trampoline runs in the parent.
+    tracer = Tracer() if SWITCH.tracer is not None else None
+    coverage = CoverageRecorder() if SWITCH.coverage is not None else None
+    with activate(tracer, coverage), span("chunk", worker=index):
+        result, counters = fn(chunk_context, arg)
     spans: tuple = ()
-    coverage_payload: dict | None = None
-    # merge=False: the chunk's facts travel back on the stats record
-    # and the parent merges them exactly once in _absorb — merging
-    # here too would double-count under the in-process fallback,
-    # where this trampoline runs in the parent process.
-    with capture_coverage(merge=False) as chunk_cov:
-        if OBS_STATE.enabled:
-            with capture("chunk", worker=index) as chunk_tracer:
-                result, counters = fn(chunk_context, arg)
-            for root in chunk_tracer.roots:
-                root.record(
-                    {k: v for k, v in counters.items() if isinstance(v, int)}
-                )
-            spans = tuple(root.to_dict() for root in chunk_tracer.roots)
-        else:
-            result, counters = fn(chunk_context, arg)
-    if COV_STATE.enabled:
-        coverage_payload = chunk_cov.to_payload()
+    if tracer is not None:
+        for root in tracer.roots:
+            root.record(
+                {k: v for k, v in counters.items() if isinstance(v, int)}
+            )
+        spans = tuple(root.to_dict() for root in tracer.roots)
     elapsed = time.perf_counter() - started
     stats = WorkerStats(
         worker=index,
@@ -154,7 +147,7 @@ def _run_chunk(payload, context: Any = _INHERITED):
         interned_terms=counters.get("interned_terms", 0),
         wall_time=elapsed,
         spans=spans,
-        coverage=coverage_payload,
+        coverage=None if coverage is None else coverage.to_payload(),
     )
     return result, stats
 
@@ -268,14 +261,9 @@ class ParallelExecutor:
         """Record chunk stats and graft span buffers, in chunk
         submission order (the deterministic-merge invariant)."""
         results = []
-        graft = (
-            OBS_STATE.tracer.graft
-            if OBS_STATE.enabled and OBS_STATE.tracer is not None
-            else None
-        )
-        recorder = (
-            COV_STATE.recorder if COV_STATE.enabled else None
-        )
+        tracer = SWITCH.tracer
+        graft = None if tracer is None else tracer.graft
+        recorder = SWITCH.coverage
         for result, stats in outcomes:
             self.worker_stats.append(stats)
             results.append(result)

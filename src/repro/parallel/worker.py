@@ -46,7 +46,6 @@ import threading
 import time
 import traceback
 from collections import OrderedDict
-from contextlib import nullcontext
 from typing import Callable
 
 from repro.obs.telemetry import Telemetry
@@ -221,8 +220,8 @@ class _Server(socketserver.ThreadingTCPServer):
         self.module_prefixes = module_prefixes
         self.bundles = _BundleStore(bundle_cache)
         # Server-local and always on: worker telemetry never touches
-        # the process-wide TEL_STATE switch, so in-thread harness
-        # workers cannot leak state across tests.
+        # the process-wide switch, so in-thread harness workers cannot
+        # leak state across tests.
         self.telemetry = Telemetry()
         # Chunk execution is serialized: one worker process is one
         # compute slot, however many sessions it serves.
@@ -271,27 +270,24 @@ class _Server(socketserver.ThreadingTCPServer):
 
     def run_chunk(self, frame: dict, context) -> dict:
         """Execute one chunk request and shape the reply frame."""
-        from repro.obs.coverage import CoverageRecorder, activate_coverage
-        from repro.obs.tracer import Tracer, activate
+        from repro.obs.coverage import CoverageRecorder
+        from repro.obs.switch import activate
+        from repro.obs.tracer import Tracer
         from repro.parallel.executor import _run_chunk
 
         fn = self.resolve_chunk_fn(frame["fn"])
         arg = pickle.loads(wire.decode_bytes(frame["arg"]))
         index = int(frame.get("index", 0))
         # The client's observability flags arrive per request; the
-        # throwaway tracer/recorder only turn the capture machinery
-        # on — the chunk's own buffers travel back inside the stats.
-        tracing = (
-            activate(Tracer()) if frame.get("trace") else nullcontext()
-        )
-        covering = (
-            activate_coverage(CoverageRecorder())
-            if frame.get("coverage")
-            else nullcontext()
+        # throwaway tracer/recorder only switch the facilities on —
+        # the chunk's own buffers travel back inside the stats.
+        scope = activate(
+            Tracer() if frame.get("trace") else None,
+            CoverageRecorder() if frame.get("coverage") else None,
         )
         try:
             t0 = time.perf_counter_ns()
-            with self.exec_lock, tracing, covering:
+            with self.exec_lock, scope:
                 outcome = _run_chunk((fn, index, arg), context=context)
             self.telemetry.observe(
                 "worker.chunk",

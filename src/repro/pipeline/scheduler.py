@@ -36,20 +36,13 @@ from.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from repro.obs.coverage import COV_STATE, capture_coverage
+from repro.obs.coverage import CoverageRecorder
 from repro.obs.stats import VerificationStats
-from repro.obs.telemetry import TEL_STATE as _TEL
-from repro.obs.tracer import (
-    OBS_STATE,
-    Tracer,
-    activate,
-    count as _count,
-    span as _span,
-)
+from repro.obs.switch import SWITCH, activate
+from repro.obs.tracer import Tracer, count as _count, span as _span
 from repro.parallel.backends import use_backend
 from repro.parallel.executor import ParallelExecutor
 from repro.pipeline.cache import ResultCache, deserialize_result, serialize_result
@@ -230,18 +223,18 @@ def _execute_check(check: Check, ctx: PipelineContext, want_counters: bool) -> C
     a throwaway activated tracer so the counters exist to store.
     """
     started = time.perf_counter()
-    want_counters = want_counters or OBS_STATE.enabled
-    own_tracer = Tracer() if (want_counters and not OBS_STATE.enabled) else None
-    activation = activate(own_tracer) if own_tracer is not None else nullcontext()
-    # Each check records into its own fresh recorder (folded into the
-    # enclosing one on exit), so the stored payload is a function of
-    # the check alone — the property cache replay needs.
-    coverage_scope = (
-        capture_coverage() if COV_STATE.enabled else nullcontext()
-    )
-    with activation, coverage_scope:
+    outer_tracer = SWITCH.tracer
+    want_counters = want_counters or outer_tracer is not None
+    own_tracer = Tracer() if want_counters and outer_tracer is None else None
+    # Each check records into its own fresh recorder, folded into the
+    # enclosing one below, so the stored payload is a function of the
+    # check alone — the property cache replay needs.
+    outer_coverage = SWITCH.coverage
+    coverage = CoverageRecorder() if outer_coverage is not None else None
+    with activate(own_tracer, coverage) as switch:
+        tracer = switch.tracer
         baseline = (
-            OBS_STATE.tracer.counter_totals()
+            tracer.counter_totals()
             if want_counters and own_tracer is None
             else None
         )
@@ -252,7 +245,7 @@ def _execute_check(check: Check, ctx: PipelineContext, want_counters: bool) -> C
             run = check.run(ctx, check.params)
         counters = None
         if want_counters:
-            totals = OBS_STATE.tracer.counter_totals()
+            totals = tracer.counter_totals()
             if baseline is not None:
                 # A key the check created at zero (e.g. a violations
                 # counter that stayed clean) must survive the delta:
@@ -264,16 +257,14 @@ def _execute_check(check: Check, ctx: PipelineContext, want_counters: bool) -> C
                 }
             else:
                 counters = dict(totals)
+    if coverage is not None:
+        outer_coverage.merge(coverage)
     return CheckRun(
         result=run.result,
         counters=counters,
         wall_time=time.perf_counter() - started,
         skipped=run.skipped,
-        coverage=(
-            coverage_scope.recorder.to_payload()
-            if COV_STATE.enabled
-            else None
-        ),
+        coverage=None if coverage is None else coverage.to_payload(),
     )
 
 
@@ -384,7 +375,7 @@ class Scheduler:
                 entry = cache.load(name, fingerprints[name])
                 if (
                     entry is not None
-                    and COV_STATE.enabled
+                    and SWITCH.coverage is not None
                     and ResultCache.entry_coverage(entry) is None
                 ):
                     # The entry was stored with coverage recording off:
@@ -422,7 +413,7 @@ class Scheduler:
                 )
                 if (
                     entry is not None
-                    and COV_STATE.enabled
+                    and SWITCH.coverage is not None
                     and ResultCache.entry_coverage(entry) is None
                 ):
                     entry = None
@@ -431,9 +422,8 @@ class Scheduler:
                     plan[name] = "hit"
                 else:
                     plan[name] = "run"
-            if OBS_STATE.enabled:
-                _count("pipeline.cache.hits", 0)
-                _count("pipeline.cache.misses", 0)
+            _count("pipeline.cache.hits", 0)
+            _count("pipeline.cache.misses", 0)
         else:
             plan = {name: "run" for name in selection}
 
@@ -541,10 +531,11 @@ class Scheduler:
     ) -> None:
         """Account for a freshly executed check: cache-miss counter,
         per-check telemetry, and the cache store."""
-        if self.cache is not None and OBS_STATE.enabled:
+        if self.cache is not None:
             _count("pipeline.cache.misses", 1)
-        if _TEL.enabled:
-            _TEL.telemetry.observe(
+        telemetry = SWITCH.telemetry
+        if telemetry is not None:
+            telemetry.observe(
                 f"pipeline.check.{check.name}",
                 int(run.wall_time * 1e9),
                 counter="pipeline.checks",
@@ -556,19 +547,15 @@ class Scheduler:
         """Rebuild a cached check from its entry and its deserialized
         report (``None`` for a resource node): span counters and wall
         time, without running anything."""
-        if OBS_STATE.enabled:
-            _count("pipeline.cache.hits", 1)
+        _count("pipeline.cache.hits", 1)
         counters = ResultCache.entry_counters(entry)
         coverage = ResultCache.entry_coverage(entry)
-        if (
-            COV_STATE.enabled
-            and coverage is not None
-            and COV_STATE.recorder is not None
-        ):
+        recorder = SWITCH.coverage
+        if recorder is not None and coverage is not None:
             # Replay the stored per-check coverage payload, making a
             # warm run's coverage byte-identical to the cold run that
             # populated the cache.
-            COV_STATE.recorder.merge_payload(coverage)
+            recorder.merge_payload(coverage)
         span_name = check.span_name or check.name
         with _span(span_name, cached=True, **check.span_attrs) as span:
             if counters:

@@ -36,7 +36,8 @@ from pathlib import Path
 from typing import Callable, TextIO
 
 from repro.errors import SpecificationError
-from repro.obs.telemetry import TEL_STATE as _TEL, activate_telemetry
+from repro.obs.switch import SWITCH, activate
+from repro.obs.telemetry import Telemetry
 from repro.pipeline.cache import ResultCache
 from repro.pipeline.fingerprint import framework_parts
 
@@ -237,8 +238,9 @@ class WatchSession:
             f"[cycle {cycle}] {overall} — {ran} ran, {hit} cached "
             f"({elapsed:.2f}s)"
         )
-        if _TEL.enabled:
-            _TEL.telemetry.observe(
+        telemetry = SWITCH.telemetry
+        if telemetry is not None:
+            telemetry.observe(
                 "pipeline.cycle",
                 int(elapsed * 1e9),
                 counter="pipeline.cycles",
@@ -280,7 +282,7 @@ def watch(
         # Scoped, not global: the watch loop records per-check and
         # per-cycle histograms for its own lifetime, then restores
         # whatever telemetry state the caller had.
-        with activate_telemetry():
+        with activate(telemetry=Telemetry()):
             session = WatchSession(
                 resolved,
                 ResultCache(cache_root),

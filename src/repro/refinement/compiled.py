@@ -46,7 +46,7 @@ from repro.logic import formulas as fm
 from repro.logic.sorts import Sort
 from repro.logic.structures import Structure
 from repro.logic.terms import App, Term, Var
-from repro.obs.coverage import COV_STATE as _COV
+from repro.obs.switch import SWITCH
 from repro.refinement.interpretation import Interpretation
 from repro.temporal.formulas import Necessarily, Possibly, is_modal
 
@@ -87,7 +87,7 @@ def compile_or_fallback(build: Callable[[], T]) -> tuple[T | None, str | None]:
     """``(build(), None)``, or ``None`` and the reason the check takes
     its reference path: ``coverage`` while coverage records (fire sets
     must come from the rewrite engine) or ``outside_fragment``."""
-    if _COV.enabled:
+    if SWITCH.coverage is not None:
         return None, "coverage"
     try:
         return build(), None

@@ -49,7 +49,7 @@ from repro.algebraic.tracetable import TraceTable, evaluate_rows
 from repro.logic import formulas as fm
 from repro.logic.sorts import BOOLEAN, STATE, Sort
 from repro.logic.terms import App, Term, Var
-from repro.obs.coverage import COV_STATE as _COV
+from repro.obs.switch import SWITCH
 from repro.obs.tracer import count as _count, span as _span
 from repro.rpr.ast import Schema, is_deterministic
 from repro.rpr.semantics import (
@@ -1148,7 +1148,7 @@ def check_agreement(
     fallback = (
         "disabled"
         if not algebra.packed
-        else "coverage" if _COV.enabled else None
+        else "coverage" if SWITCH.coverage is not None else None
     )
     if fallback is not None:
         _count(f"agreement.fallback.{fallback}")

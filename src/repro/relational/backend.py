@@ -28,8 +28,8 @@ from repro.algebraic.algebra import Snapshot
 from repro.algebraic.compiler import Cell
 from repro.algebraic.description import StructuredDescription
 from repro.algebraic.spec import AlgebraicSpec
-from repro.obs.telemetry import TEL_STATE as _TEL
-from repro.obs.tracer import OBS_STATE as _OBS, span as _span
+from repro.obs.switch import SWITCH
+from repro.obs.tracer import count as _count, span as _span
 from repro.relational.lowering import (
     GuardLowering,
     TransactionLowerer,
@@ -184,8 +184,7 @@ class RelationalDatabase:
             program = self.lowerer.lower(update, tuple(params))
         self._programs[key] = program
         self.stats["programs_compiled"] += 1
-        if _OBS.enabled:
-            _OBS.tracer.count("relational.programs.compiled")
+        _count("relational.programs.compiled")
         return program
 
     # ------------------------------------------------------------------
@@ -213,12 +212,10 @@ class RelationalDatabase:
             )
             if not admitted:
                 self.stats["noops_precondition"] += 1
-                if _OBS.enabled:
-                    _OBS.tracer.count(
-                        "relational.noops.precondition"
-                    )
+                _count("relational.noops.precondition")
                 return False
-        t0 = time.perf_counter_ns() if _TEL.enabled else 0
+        telemetry = SWITCH.telemetry
+        t0 = time.perf_counter_ns() if telemetry is not None else 0
         self.backend.begin()
         try:
             for _query, statement in program.stages:
@@ -246,10 +243,9 @@ class RelationalDatabase:
             ) from exc
         self.backend.commit()
         self.stats["transactions"] += 1
-        if _OBS.enabled:
-            _OBS.tracer.count("relational.transactions")
-        if t0:
-            _TEL.telemetry.observe(
+        _count("relational.transactions")
+        if telemetry is not None:
+            telemetry.observe(
                 f"relational.txn.{update}",
                 time.perf_counter_ns() - t0,
                 counter="relational.transactions",

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from repro.algebraic.algebra import Snapshot, TraceAlgebra
 from repro.algebraic.plans import UpdatePlanner
-from repro.obs.tracer import OBS_STATE as _OBS, span as _span
+from repro.obs.tracer import count as _count, span as _span
 from repro.relational.backend import RelationalDatabase
 
 __all__ = [
@@ -233,15 +233,9 @@ class DifferentialOracle:
                         )
                     )
                     break
-            if _OBS.enabled:
-                _OBS.tracer.count(
-                    "relational.oracle.steps", applied + noops
-                )
-                if divergences:
-                    _OBS.tracer.count(
-                        "relational.oracle.divergences",
-                        len(divergences),
-                    )
+            _count("relational.oracle.steps", applied + noops)
+            if divergences:
+                _count("relational.oracle.divergences", len(divergences))
         return OracleReport(
             self.database.spec.name,
             self.database.backend.name,

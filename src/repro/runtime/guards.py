@@ -323,12 +323,16 @@ class AdmissionGuard:
         drop read-set groups holding under every valuation (see the
         module docstring); rebuilds the instance index without the
         dropped tautologies."""
-        self._static, self._static_tables = self._tabulate(
+        self._static, self._static_tables, static = self._tabulate(
             self._static, transition=False
         )
-        self._transition, self._transition_tables = self._tabulate(
-            self._transition, transition=True
+        self._transition, self._transition_tables, transition = (
+            self._tabulate(self._transition, transition=True)
         )
+        #: Read-set groups per constraint kind: ``tabulated`` into a
+        #: decision table, kept as ``closures`` (valuation space over
+        #: :data:`_TABLE_LIMIT`) or dropped as ``tautologies``.
+        self.table_counts = {"static": static, "transition": transition}
         self._static_by_cell = _index_by_cell(self._static)
         self._transition_by_cell = _index_by_cell(self._transition)
         self._static_tables_by_cell = _index_by_cell(
@@ -340,12 +344,13 @@ class AdmissionGuard:
 
     def _tabulate(
         self, instances: list[_Instance], transition: bool
-    ) -> tuple[list[_Instance], list[_Table]]:
+    ) -> tuple[list[_Instance], list[_Table], dict[str, int]]:
         groups: dict[frozenset[Cell], list[_Instance]] = {}
         for instance in instances:
             groups.setdefault(instance.reads, []).append(instance)
         kept: list[_Instance] = []
         tables: list[_Table] = []
+        tally = {"tabulated": 0, "closures": 0, "tautologies": 0}
         for reads, members in groups.items():
             cells = tuple(sorted(reads))
             domains = [self._cell_values(cell) for cell in cells]
@@ -355,6 +360,7 @@ class AdmissionGuard:
             if transition:
                 space *= space
             if not (0 < space <= _TABLE_LIMIT):
+                tally["closures"] += 1
                 kept.extend(members)
                 tables.append(
                     _Table(cells, None, tuple(members))
@@ -382,12 +388,14 @@ class AdmissionGuard:
                     if all(m.closure(get) for m in members):
                         allowed.add(values)
             if len(allowed) == space:
+                tally["tautologies"] += 1
                 continue  # tautology of the cell representation
+            tally["tabulated"] += 1
             kept.extend(members)
             tables.append(
                 _Table(cells, frozenset(allowed), tuple(members))
             )
-        return kept, tables
+        return kept, tables, tally
 
     def _peel(self, axiom: fm.Formula):
         """Ground an axiom's outer-∀ prefix over the carriers, yielding
@@ -515,10 +523,6 @@ class AdmissionGuard:
         """The static instances reading any of ``cells`` (the
         pipeline precomputes this per update plan)."""
         return tuple(_gather(self._static_by_cell, cells))
-
-    def transition_for(self, cells: Iterable[Cell]):
-        """The transition instances reading any of ``cells``."""
-        return tuple(_gather(self._transition_by_cell, cells))
 
     def static_tables_for(self, cells: Iterable[Cell]):
         """The static decision tables touching any of ``cells`` (the

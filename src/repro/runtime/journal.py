@@ -41,8 +41,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Mapping
 
 from repro.errors import JournalError
-from repro.obs.telemetry import TEL_STATE as _TEL
-from repro.obs.tracer import OBS_STATE as _OBS
+from repro.obs.switch import SWITCH
 
 __all__ = ["Journal", "RecoveredLog"]
 
@@ -138,7 +137,8 @@ class Journal:
         self, seq: int, update: str, params: tuple[str, ...]
     ) -> None:
         """Record one admitted update; flushes every ``fsync_batch``."""
-        t0 = time.perf_counter_ns() if _TEL.enabled else 0
+        telemetry = SWITCH.telemetry
+        t0 = time.perf_counter_ns() if telemetry is not None else 0
         body = {"seq": seq, "update": update, "params": list(params)}
         body["crc"] = _crc(body)
         self._file.write(
@@ -149,8 +149,8 @@ class Journal:
         self._pending += 1
         if self._pending >= self._fsync_batch:
             self.flush()
-        if t0:
-            _TEL.telemetry.observe(
+        if telemetry is not None:
+            telemetry.observe(
                 "journal.append",
                 time.perf_counter_ns() - t0,
                 counter="journal.appends",
@@ -161,16 +161,15 @@ class Journal:
         if self._file.closed:
             return
         batch = self._pending
-        t0 = time.perf_counter_ns() if _TEL.enabled and batch else 0
+        telemetry = SWITCH.telemetry if batch else None
+        t0 = time.perf_counter_ns() if telemetry is not None else 0
         self._file.flush()
         if self._fsync:
             os.fsync(self._file.fileno())
         if batch:
             self.syncs += 1
-            if _OBS.enabled:
-                _OBS.tracer.count("runtime.journal.syncs")
-            if t0:
-                _TEL.telemetry.observe(
+            if telemetry is not None:
+                telemetry.observe(
                     "journal.fsync",
                     time.perf_counter_ns() - t0,
                     counter="journal.syncs",
@@ -183,7 +182,8 @@ class Journal:
         journal.  Crash-safe: the snapshot replaces atomically, and
         stale journal entries surviving a crash before truncation are
         filtered by sequence number on recovery."""
-        t0 = time.perf_counter_ns() if _TEL.enabled else 0
+        telemetry = SWITCH.telemetry
+        t0 = time.perf_counter_ns() if telemetry is not None else 0
         self.flush()
         body = {
             "seq": seq,
@@ -204,11 +204,8 @@ class Journal:
         self._file = open(self.journal_path, "w", encoding="utf-8")
         self.flush()
         self.compactions += 1
-        if _OBS.enabled:
-            _OBS.tracer.count("runtime.journal.compactions")
-        if t0:
+        if telemetry is not None:
             elapsed = time.perf_counter_ns() - t0
-            telemetry = _TEL.telemetry
             telemetry.observe(
                 "journal.compaction",
                 elapsed,

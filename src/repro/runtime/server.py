@@ -33,8 +33,7 @@ import json
 import signal
 
 from repro.errors import ReproError
-from repro.obs.telemetry import TEL_STATE as _TEL
-from repro.obs.tracer import OBS_STATE as _OBS
+from repro.obs.switch import SWITCH
 from repro.runtime.service import SpecRuntime
 
 __all__ = ["RuntimeServer", "serve"]
@@ -74,8 +73,6 @@ class RuntimeServer:
         Returns ``(response, stop)`` — ``stop`` is True when the
         request asks the server to shut down (and may).
         """
-        if _OBS.enabled:
-            _OBS.tracer.count("runtime.server.requests")
         if not isinstance(request, dict):
             return {"ok": False, "error": "request must be an object"}, False
         op = request.get("op")
@@ -113,7 +110,8 @@ class RuntimeServer:
                     ),
                 }, False
             if op == "telemetry":
-                if not _TEL.enabled:
+                telemetry = SWITCH.telemetry
+                if telemetry is None:
                     return {
                         "ok": False,
                         "error": "telemetry is not enabled",
@@ -122,9 +120,7 @@ class RuntimeServer:
                 return {
                     "ok": True,
                     "application": self.runtime.name,
-                    "telemetry": _TEL.telemetry.snapshot(
-                        events=events
-                    ),
+                    "telemetry": telemetry.snapshot(events=events),
                 }, False
             if op == "compact":
                 self.runtime.compact()

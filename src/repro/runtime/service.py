@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 from typing import Hashable, Iterable
 
 from repro.errors import ServingError
-from repro.obs.telemetry import TEL_STATE as _TEL
-from repro.obs.tracer import OBS_STATE as _OBS, span as _span
+from repro.obs.switch import SWITCH
+from repro.obs.tracer import span as _span
 from repro.algebraic.description import StructuredDescription
 from repro.core.framework import DesignFramework
 from repro.runtime.guards import AdmissionGuard, GuardViolation
@@ -194,11 +194,6 @@ class SpecRuntime:
             for seq, update, params in recovered.entries:
                 self.store.apply(update, params)
                 self.seq = seq
-            if _OBS.enabled:
-                _OBS.tracer.count(
-                    "runtime.recover.entries",
-                    len(recovered.entries),
-                )
 
     def _base_check(self) -> None:
         violations = self.guard.check_now(self.store.getter)
@@ -215,12 +210,11 @@ class SpecRuntime:
     def query(self, name: str, params: Iterable[str]) -> Value:
         """Answer one query from the materialized cells."""
         self.query_count += 1
-        if _OBS.enabled:
-            _OBS.tracer.count("runtime.queries")
-        if _TEL.enabled:
+        telemetry = SWITCH.telemetry
+        if telemetry is not None:
             t0 = time.perf_counter_ns()
             value = self.store.query(name, tuple(params))
-            _TEL.telemetry.observe(
+            telemetry.observe(
                 "runtime.query",
                 time.perf_counter_ns() - t0,
                 counter="runtime.queries",
@@ -278,7 +272,8 @@ class SpecRuntime:
         """Admit or reject one update request (the five-stage
         pipeline described in the module docstring)."""
         params = tuple(params)
-        started = time.perf_counter_ns() if _TEL.enabled else 0
+        telemetry = SWITCH.telemetry
+        started = time.perf_counter_ns() if telemetry is not None else 0
         store = self.store
         plan = store.plan(update, params)
         get = store.getter
@@ -298,10 +293,8 @@ class SpecRuntime:
         writes = store.compute_writes(plan)
         if not writes:
             self.accepted_count += 1
-            if _OBS.enabled:
-                _OBS.tracer.count("runtime.updates.noop")
-            if started:
-                _TEL.telemetry.observe(
+            if telemetry is not None:
+                telemetry.observe(
                     self._tel_name(update, "admit"),
                     time.perf_counter_ns() - started,
                     counter="runtime.updates.accepted",
@@ -380,10 +373,8 @@ class SpecRuntime:
                 and self._since_compaction >= self._compact_every
             ):
                 self.compact()
-        if _OBS.enabled:
-            _OBS.tracer.count("runtime.updates.accepted")
-        if started:
-            _TEL.telemetry.observe(
+        if telemetry is not None:
+            telemetry.observe(
                 self._tel_name(update, "admit"),
                 time.perf_counter_ns() - started,
                 counter="runtime.updates.accepted",
@@ -400,13 +391,8 @@ class SpecRuntime:
         started: int = 0,
     ) -> ExecutionResult:
         self.rejected_count += 1
-        if _OBS.enabled:
-            _OBS.tracer.count("runtime.updates.rejected")
-            _OBS.tracer.count(
-                f"runtime.updates.rejected.{violation.kind}"
-            )
         if started:
-            telemetry = _TEL.telemetry
+            telemetry = SWITCH.telemetry
             telemetry.observe(
                 self._tel_name(update, "reject"),
                 time.perf_counter_ns() - started,
@@ -462,6 +448,11 @@ class SpecRuntime:
             "cells": len(self.store.cells),
             "static_instances": self.guard.static_instances,
             "transition_instances": self.guard.transition_instances,
+            "plans": self.store.plan_counts,
+            "guard_tables": {
+                kind: dict(tally)
+                for kind, tally in self.guard.table_counts.items()
+            },
             "recovery_warnings": list(self.recovery_warnings),
         }
         if self.journal is not None:

@@ -36,7 +36,6 @@ from __future__ import annotations
 from typing import Callable, Hashable, Mapping
 
 from repro.errors import IncompletenessError, ServingError
-from repro.obs.tracer import OBS_STATE as _OBS
 from repro.algebraic.algebra import Snapshot, TraceAlgebra
 from repro.algebraic.compiler import Cell
 from repro.algebraic.description import StructuredDescription
@@ -169,11 +168,18 @@ class MaterializedState:
             return cached
         built = self._planner.compile(update, key[1])
         self._plans[key] = built
-        if _OBS.enabled:
-            _OBS.tracer.count("runtime.plans.compiled")
-            if built.fallback:
-                _OBS.tracer.count("runtime.plans.fallback")
         return built
+
+    @property
+    def plan_counts(self) -> dict[str, int]:
+        """Update plans compiled so far, and how many of them are
+        ``fallback`` plans (equations outside the canonical fragment,
+        so applying goes through the rewrite engine)."""
+        plans = self._plans.values()
+        return {
+            "compiled": len(plans),
+            "fallback": sum(1 for plan in plans if plan.fallback),
+        }
 
     # ------------------------------------------------------------------
     # applying updates

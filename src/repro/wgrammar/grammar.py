@@ -40,8 +40,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from repro.errors import WGrammarError
-from repro.obs.coverage import COV_STATE as _COV
-from repro.obs.tracer import OBS_STATE as _OBS
+from repro.obs.switch import SWITCH
 
 __all__ = [
     "Mark",
@@ -379,11 +378,12 @@ class WGrammar:
             return
         for cut in range(len(notion) + 1):
             segment = notion[:cut]
-            if _COV.enabled:
+            coverage = SWITCH.coverage
+            if coverage is not None:
                 # Usage is recorded at the matcher's membership call
                 # sites, never inside member()'s memoized recursion:
                 # counts then do not depend on cache warmth.
-                _COV.recorder.record_metanotion(head.name)
+                coverage.record_metanotion(head.name)
             if self.member(head.name, segment):
                 child = dict(bindings)
                 child[head.name] = segment
@@ -436,24 +436,15 @@ class WGrammar:
         """
         recognizer = _Recognizer(self, tuple(tokens), max_steps)
         accepted = len(tokens) in recognizer.parse(self.start, 0)
-        if _OBS.enabled:
-            _OBS.tracer.count("wgrammar.steps", recognizer.steps_used)
-            _OBS.tracer.count(
-                "wgrammar.memo_entries", len(recognizer._memo)
-            )
+        tracer = SWITCH.tracer
+        if tracer is not None:
+            tracer.count("wgrammar.steps", recognizer.steps_used)
+            tracer.count("wgrammar.memo_entries", len(recognizer._memo))
         if counters is not None:
             counters["steps"] = recognizer.steps_used
             counters["memo_entries"] = len(recognizer._memo)
             counters["memo_hits"] = recognizer.memo_hits
         return accepted
-
-    def derive_prefix(
-        self, tokens: list[str], max_steps: int = 2_000_000
-    ) -> set[int]:
-        """All input positions up to which a derivation of the start
-        notion can consume the tokens (diagnostic helper)."""
-        recognizer = _Recognizer(self, tuple(tokens), max_steps)
-        return recognizer.parse(self.start, 0)
 
     def generate(
         self,
@@ -675,8 +666,9 @@ class _Recognizer:
             for bindings in self._grammar.match_lhs(rule.lhs, notion):
                 if not rule.bindings_admissible(bindings):
                     continue
-                if _COV.enabled:
-                    _COV.recorder.record_hyperrule(
+                coverage = SWITCH.coverage
+                if coverage is not None:
+                    coverage.record_hyperrule(
                         rule.label or f"rule-{rule_index}"
                     )
                 results |= self._sequence(rule.rhs, 0, dict(bindings), pos)
@@ -707,8 +699,9 @@ class _Recognizer:
                 if bound != (mark,):
                     return set()
                 return self._sequence(items, index + 1, bindings, pos + 1)
-            if _COV.enabled:
-                _COV.recorder.record_metanotion(item.sym.name)
+            coverage = SWITCH.coverage
+            if coverage is not None:
+                coverage.record_metanotion(item.sym.name)
             if not self._grammar.member(item.sym.name, (mark,)):
                 return set()
             child = dict(bindings)

@@ -1,8 +1,6 @@
 """Tests for sufficient completeness (Section 4.4a), including
 failure-injected specifications."""
 
-import pytest
-
 from repro.algebraic.completeness import (
     _UNCOVERED_CAP,
     check_coverage,

@@ -9,7 +9,6 @@ from repro.errors import SpecificationError
 from repro.algebraic.algebra import TraceAlgebra
 from repro.algebraic.completeness import check_sufficient_completeness
 from repro.algebraic.description import (
-    STATE_VAR,
     Effect,
     StructuredDescription,
     initial_equations,
@@ -22,7 +21,6 @@ from repro.applications.courses import (
     courses_signature,
     courses_synthesized,
 )
-from repro.logic import formulas as fm
 from repro.logic.terms import Var
 
 

@@ -30,7 +30,6 @@ from repro.applications.courses import (
     courses_information_carriers,
     courses_signature,
 )
-from repro.obs.coverage import activate_coverage
 from repro.refinement.compiled import StructureMap
 from repro.refinement.first_second import prove_static_consistency
 from repro.refinement.interpretation import Interpretation
@@ -320,7 +319,7 @@ class TestOncePerState:
         monkeypatch.setattr(
             Interpretation, "structure_of_snapshot", counting
         )
-        with activate_coverage():
+        with obs.activate(coverage=obs.CoverageRecorder()):
             report, counters = _traced(
                 lambda: _prove_app_static("projects")
             )
@@ -379,7 +378,8 @@ class TestObjectStepFallback:
             prove_invariant(spec, _static_ok)
 
     def test_coverage_takes_object_step(self, spec):
-        with activate_coverage() as recorder:
+        recorder = obs.CoverageRecorder()
+        with obs.activate(coverage=recorder):
             report, counters = _traced(
                 lambda: prove_invariant(spec, _static_ok)
             )

@@ -24,7 +24,6 @@ from repro.errors import IncompletenessError
 from repro.logic import formulas as fm
 from repro.logic.sorts import STATE
 from repro.logic.terms import Var
-from repro.obs.coverage import activate_coverage
 from tests.applications.test_mutations import MUTANTS
 
 
@@ -281,7 +280,7 @@ class TestCongruenceByConstruction:
         table = build_trace_table(algebra, 2)
         reference = check_congruence(TraceAlgebra(spec), depth=2)
         tracer = obs.Tracer()
-        with activate_coverage(), obs.activate(tracer):
+        with obs.activate(tracer, obs.CoverageRecorder()):
             report = check_congruence(algebra, depth=2, table=table)
         _assert_same(reference, report)
         assert _path(tracer.counter_totals()) == [

@@ -197,9 +197,9 @@ class TestFallbackCounters:
         }
 
     def test_coverage(self):
-        from repro.obs.coverage import activate_coverage
+        from repro.obs import CoverageRecorder, activate
 
-        with activate_coverage():
+        with activate(coverage=CoverageRecorder()):
             counters = self._explore_counters(
                 TraceAlgebra(courses_algebraic())
             )

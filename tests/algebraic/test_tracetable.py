@@ -14,7 +14,6 @@ from repro.algebraic.completeness import check_sufficient_completeness
 from repro.algebraic.rewriting import RewriteEngine
 from repro.algebraic.tracetable import build_trace_table
 from repro.cli import APPLICATIONS
-from repro.obs.coverage import activate_coverage
 from repro.refinement.second_third import check_agreement
 from tests.algebraic.test_completeness import _c1_only_spec
 
@@ -58,7 +57,7 @@ class TestRows:
 
     def test_nothing_built_under_coverage_or_unpacked(self, frameworks):
         spec = frameworks["courses"].algebraic
-        with activate_coverage():
+        with obs.activate(coverage=obs.CoverageRecorder()):
             assert build_trace_table(TraceAlgebra(spec), 1) is None
         assert build_trace_table(TraceAlgebra(spec, packed=False), 1) is None
 

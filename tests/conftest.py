@@ -12,7 +12,24 @@ from repro.algebraic.algebra import TraceAlgebra
 from repro.applications import courses
 from repro.logic.signature import Signature
 from repro.logic.sorts import Sort
+from repro.obs.switch import SWITCH
 from repro.rpr.parser import parse_schema
+
+
+def _slots() -> tuple:
+    return SWITCH.tracer, SWITCH.coverage, SWITCH.telemetry
+
+
+@pytest.fixture(autouse=True)
+def _switch_off():
+    """Every test starts and ends with tracing, coverage and telemetry
+    off, so a test that leaves a facility on fails here instead of
+    leaking it into the next test."""
+    assert _slots() == (None, None, None)
+    yield
+    leaked = _slots()
+    SWITCH.tracer = SWITCH.coverage = SWITCH.telemetry = None
+    assert leaked == (None, None, None)
 
 
 @pytest.fixture(scope="session")

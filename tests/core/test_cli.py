@@ -145,10 +145,10 @@ class TestObservabilityFlags:
         assert "counters" in payload
 
     def test_verify_without_flags_leaves_tracing_off(self):
-        from repro.obs.tracer import OBS_STATE
+        from repro.obs.switch import SWITCH
 
         assert main(["verify", "library", "--quiet"]) == 0
-        assert OBS_STATE.enabled is False
+        assert SWITCH.tracer is None
 
 
 class TestKernelStatsFields:
@@ -523,13 +523,12 @@ class TestCoverageFlags:
         )
 
     def test_verify_leaves_coverage_off(self):
-        from repro.obs.coverage import COV_STATE
+        from repro.obs.switch import SWITCH
 
         assert main(
             ["verify", "library", "--quiet", "--coverage", "-"]
         ) == 0
-        assert COV_STATE.enabled is False
-        assert COV_STATE.recorder is None
+        assert SWITCH.coverage is None
 
 
 class TestFailureTraces:

@@ -1,7 +1,6 @@
 """Tests for NNF/prenex transformations, including property-based
 semantic-equivalence checks over random formulas and structures."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.logic import formulas as fm

@@ -5,20 +5,15 @@ import json
 from repro.algebraic.spec import AlgebraicSpec
 from repro.cli import APPLICATIONS
 from repro.obs.coverage import (
-    COV_STATE,
     CoverageRecorder,
-    activate_coverage,
-    capture_coverage,
     coverage_digest,
     coverage_document,
-    coverage_enabled,
     coverage_json,
-    disable_coverage,
-    enable_coverage,
     invariant_payload,
     payload_digest,
     state_graph_census,
 )
+from repro.obs.switch import SWITCH, activate
 
 
 def _sample_recorder() -> CoverageRecorder:
@@ -112,51 +107,56 @@ class TestFireSetAPI:
 
 
 # ---------------------------------------------------------------------
-# the switch: enable/disable/activate/capture
+# the switch's coverage slot
 # ---------------------------------------------------------------------
 class TestSwitch:
     def test_enable_disable(self):
-        assert not coverage_enabled()
-        recorder = enable_coverage()
-        assert coverage_enabled()
-        assert COV_STATE.recorder is recorder
-        assert disable_coverage() is recorder
-        assert not coverage_enabled()
-        assert COV_STATE.recorder is None
+        assert SWITCH.coverage is None
+        recorder = CoverageRecorder()
+        with activate(coverage=recorder):
+            assert SWITCH.coverage is recorder
+        assert SWITCH.coverage is None
 
     def test_activate_restores_prior_state(self):
-        with activate_coverage() as recorder:
-            assert coverage_enabled()
-            assert COV_STATE.recorder is recorder
-        assert not coverage_enabled()
-        assert COV_STATE.recorder is None
+        recorder = CoverageRecorder()
+        with activate(coverage=recorder) as switch:
+            assert switch.coverage is recorder
+            switch.coverage.record_dispatch("q", "c")
+        assert SWITCH.coverage is None
+        assert recorder.dispatch == {("q", "c"): 1}
 
     def test_activate_is_reentrant(self):
         outer, inner = CoverageRecorder(), CoverageRecorder()
-        with activate_coverage(outer):
-            with activate_coverage(inner):
-                COV_STATE.recorder.record_dispatch("q", "c")
+        with activate(coverage=outer):
+            with activate(coverage=inner):
+                SWITCH.coverage.record_dispatch("q", "c")
             # The outer recorder is active again, untouched by the
             # inner scope.
-            assert COV_STATE.recorder is outer
+            assert SWITCH.coverage is outer
             assert outer.is_empty()
         assert inner.dispatch == {("q", "c"): 1}
-        assert not coverage_enabled()
+        assert SWITCH.coverage is None
 
     def test_capture_merges_into_enclosing(self):
-        run = CoverageRecorder()
-        with activate_coverage(run):
-            with capture_coverage() as check:
-                COV_STATE.recorder.record_dispatch("q", "c")
-            assert check.dispatch == {("q", "c"): 1}
+        # The scheduler's per-check scope: a fresh recorder, folded
+        # into the enclosing one by the scope's owner.
+        run, check = CoverageRecorder(), CoverageRecorder()
+        with activate(coverage=run):
+            with activate(coverage=check):
+                SWITCH.coverage.record_dispatch("q", "c")
+            assert run.is_empty()
+            run.merge(check)
+        assert check.dispatch == {("q", "c"): 1}
         assert run.dispatch == {("q", "c"): 1}
 
     def test_capture_no_merge_keeps_facts_isolated(self):
-        run = CoverageRecorder()
-        with activate_coverage(run):
-            with capture_coverage(merge=False) as chunk:
-                COV_STATE.recorder.record_dispatch("q", "c")
-            assert chunk.dispatch == {("q", "c"): 1}
+        # The executor's chunk scope: the fresh recorder is shipped,
+        # never merged into the enclosing one on the way out.
+        run, chunk = CoverageRecorder(), CoverageRecorder()
+        with activate(coverage=run):
+            with activate(coverage=chunk):
+                SWITCH.coverage.record_dispatch("q", "c")
+        assert chunk.dispatch == {("q", "c"): 1}
         assert run.is_empty()
 
 
@@ -167,7 +167,7 @@ class TestInstrumentation:
     def test_engine_records_dispatch_and_fires(self):
         framework = APPLICATIONS["courses"]()
         recorder = CoverageRecorder()
-        with activate_coverage(recorder):
+        with activate(coverage=recorder):
             result = framework.verify_pipeline(only=["completeness"])
         assert result.ok
         assert recorder.dispatch
@@ -182,14 +182,14 @@ class TestInstrumentation:
         framework = APPLICATIONS["courses"]()
         result = framework.verify_pipeline(only=["completeness"])
         assert result.ok
-        assert not coverage_enabled()
+        assert SWITCH.coverage is None
         run = result.execution("completeness").run
         assert run.coverage is None
 
     def test_selection_scopes_coverage(self):
         framework = APPLICATIONS["courses"]()
         recorder = CoverageRecorder()
-        with activate_coverage(recorder):
+        with activate(coverage=recorder):
             framework.verify_pipeline(only=["grammar"])
         # Grammar-only runs touch the recognizer but never the
         # rewrite engine or the explorer.
@@ -203,7 +203,7 @@ class TestInstrumentation:
         for _ in range(2):
             framework = APPLICATIONS["courses"]()
             recorder = CoverageRecorder()
-            with activate_coverage(recorder):
+            with activate(coverage=recorder):
                 framework.verify_pipeline(only=["grammar"])
             payloads.append(recorder.to_payload())
         assert payloads[0]["hyperrules"] == payloads[1]["hyperrules"]
@@ -212,7 +212,7 @@ class TestInstrumentation:
     def test_explore_census_recorded_once(self):
         framework = APPLICATIONS["courses"]()
         recorder = CoverageRecorder()
-        with activate_coverage(recorder):
+        with activate(coverage=recorder):
             result = framework.verify_pipeline()
         assert result.ok
         census = recorder.explore
@@ -271,7 +271,7 @@ class TestCensus:
 def _full_run(name="courses"):
     framework = APPLICATIONS[name]()
     recorder = CoverageRecorder()
-    with activate_coverage(recorder):
+    with activate(coverage=recorder):
         result = framework.verify_pipeline()
     return framework, recorder, result
 
@@ -322,7 +322,7 @@ class TestDocument:
             name="courses-pruned",
         )
         recorder = CoverageRecorder()
-        with activate_coverage(recorder):
+        with activate(coverage=recorder):
             result = broken.verify_pipeline(only=["completeness"])
         assert not result.ok
         document = coverage_document(

@@ -3,7 +3,8 @@ process boundary, merge deterministically, and cost nothing when off."""
 
 import timeit
 
-from repro.obs.tracer import OBS_STATE, activate, count, span
+from repro.obs.switch import SWITCH, activate
+from repro.obs.tracer import Tracer, count, span
 from repro.parallel.executor import ParallelExecutor
 
 #: Twelve values in three contiguous chunks.
@@ -28,7 +29,8 @@ def _map(fn, context, args, workers):
 
 
 def _run(workers):
-    with activate() as tracer:
+    tracer = Tracer()
+    with activate(tracer):
         results, stats = _map(
             _square_chunk, list(range(12)), _RANGES, workers
         )
@@ -74,13 +76,15 @@ class TestDeterministicMerge:
     def test_trace_skeleton_is_identical_for_any_worker_count(self):
         skeletons = []
         for workers in (0, 1, 2, 3):
-            with activate() as tracer:
+            tracer = Tracer()
+            with activate(tracer):
                 _map(_square_chunk, list(range(12)), _RANGES, workers)
             skeletons.append(_skeleton(tracer))
         assert all(skeleton == skeletons[0] for skeleton in skeletons)
 
     def test_chunks_graft_under_the_parents_open_span(self):
-        with activate() as tracer:
+        tracer = Tracer()
+        with activate(tracer):
             with span("level", depth=1):
                 _map(
                     _square_chunk,
@@ -99,7 +103,7 @@ class TestDisabledOverheadSmoke:
     benchmarks/check_obs_overhead.py."""
 
     def test_disabled_span_call_is_cheap(self):
-        assert not OBS_STATE.enabled
+        assert SWITCH.tracer is None
         per_call = min(
             timeit.repeat(
                 "span('hot')",
@@ -111,8 +115,8 @@ class TestDisabledOverheadSmoke:
         assert per_call < 5e-6  # five microseconds, very loose
 
     def test_disabled_guard_adds_little_to_a_tight_loop(self):
-        state = OBS_STATE
-        assert not state.enabled
+        switch = SWITCH
+        assert switch.tracer is None
 
         def plain(work=2_000):
             total = 0
@@ -123,8 +127,9 @@ class TestDisabledOverheadSmoke:
         def guarded(work=2_000):
             total = 0
             for index in range(work):
-                if state.enabled:
-                    state.tracer.count("tick")
+                tracer = switch.tracer
+                if tracer is not None:
+                    tracer.count("tick")
                 total += index
             return total
 

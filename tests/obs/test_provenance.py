@@ -4,7 +4,8 @@ import pytest
 
 from repro.cli import APPLICATIONS
 from repro.core.framework import DesignFramework
-from repro.obs.coverage import CoverageRecorder, activate_coverage
+from repro.obs.coverage import CoverageRecorder
+from repro.obs.switch import activate
 from repro.obs.provenance import (
     counterexamples_of,
     minimal_witnesses,
@@ -186,7 +187,7 @@ class TestCounterexamples:
 # ---------------------------------------------------------------------
 def _provenance_of(framework, **kwargs):
     recorder = CoverageRecorder()
-    with activate_coverage(recorder):
+    with activate(coverage=recorder):
         result = framework.verify_pipeline(**kwargs)
     graph = build_framework_graph()
     return pipeline_provenance(

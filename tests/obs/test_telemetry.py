@@ -1,24 +1,19 @@
 """Tests for :mod:`repro.obs.telemetry`: deterministic histogram
 buckets, submission-order merge identity across worker counts and
 executor backends, rate windows, the event ring, the slow-op capture,
-and the one-branch enable/disable switch."""
+and the telemetry slot of the one-branch switch."""
 
 import pickle
 import random
 
 import pytest
 
+from repro.obs.switch import SWITCH, activate
 from repro.obs.telemetry import (
-    TEL_STATE,
     LatencyHistogram,
     Telemetry,
-    activate_telemetry,
     bucket_index,
     bucket_upper_ns,
-    current_telemetry,
-    disable_telemetry,
-    enable_telemetry,
-    telemetry_enabled,
 )
 from repro.parallel import ParallelExecutor
 from repro.parallel.backends import make_backend
@@ -278,33 +273,25 @@ class TestRatesAndEvents:
 
 class TestSwitch:
     def test_disabled_by_default(self):
-        assert TEL_STATE.enabled is False
-        assert telemetry_enabled() is False
-        assert current_telemetry() is None
+        assert SWITCH.telemetry is None
 
     def test_enable_disable_roundtrip(self):
-        telemetry = enable_telemetry()
-        try:
-            assert telemetry_enabled() is True
-            assert current_telemetry() is telemetry
-        finally:
-            assert disable_telemetry() is telemetry
-        assert telemetry_enabled() is False
+        telemetry = Telemetry()
+        with activate(telemetry=telemetry):
+            assert SWITCH.telemetry is telemetry
+        assert SWITCH.telemetry is None
 
     def test_activation_scopes_and_restores(self):
-        outer = enable_telemetry()
-        try:
-            with activate_telemetry() as inner:
-                assert inner is not outer
-                assert current_telemetry() is inner
-            assert current_telemetry() is outer
-        finally:
-            disable_telemetry()
+        outer, inner = Telemetry(), Telemetry()
+        with activate(telemetry=outer):
+            with activate(telemetry=inner):
+                assert SWITCH.telemetry is inner
+            assert SWITCH.telemetry is outer
 
     def test_activation_accepts_a_prebuilt_registry(self):
         mine = Telemetry()
-        with activate_telemetry(mine) as active:
-            assert active is mine
-            active.inc("x")
-        assert telemetry_enabled() is False
+        with activate(telemetry=mine) as switch:
+            assert switch.telemetry is mine
+            switch.telemetry.inc("x")
+        assert SWITCH.telemetry is None
         assert mine.snapshot()["counters"]["x"]["total"] == 1

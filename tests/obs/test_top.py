@@ -9,7 +9,8 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ServingError
-from repro.obs.telemetry import activate_telemetry
+from repro.obs.switch import activate
+from repro.obs.telemetry import Telemetry
 from repro.obs.top import (
     fetch_worker_snapshot,
     parse_address,
@@ -29,7 +30,7 @@ def live_server():
     app = build_app("bank")
     runtime = SpecRuntime(app.framework, app.descriptions)
     ports: queue.Queue = queue.Queue()
-    with activate_telemetry():
+    with activate(telemetry=Telemetry()):
         thread = threading.Thread(
             target=serve,
             args=(runtime,),

@@ -5,20 +5,8 @@ import time
 
 import pytest
 
-from repro.obs.tracer import (
-    NOOP_SPAN,
-    OBS_STATE,
-    Span,
-    Tracer,
-    activate,
-    capture,
-    count,
-    current_tracer,
-    disable,
-    enable,
-    is_enabled,
-    span,
-)
+from repro.obs.switch import SWITCH, activate
+from repro.obs.tracer import NOOP_SPAN, Span, Tracer, count, span
 
 
 class TestSpan:
@@ -143,34 +131,39 @@ class TestModuleSwitch:
 
     def test_disabled_count_is_a_noop(self):
         count("nothing", 5)
-        assert current_tracer() is None
+        assert SWITCH.tracer is None
 
     def test_enable_routes_spans_to_the_tracer(self):
-        tracer = enable()
-        assert is_enabled()
-        with span("visible", depth=2):
-            count("ticks", 3)
+        tracer = Tracer()
+        with activate(tracer):
+            assert SWITCH.tracer is tracer
+            with span("visible", depth=2):
+                count("ticks", 3)
         assert [s.name for s in tracer.roots] == ["visible"]
         assert tracer.roots[0].attrs == {"depth": 2}
         assert tracer.roots[0].counters == {"ticks": 3}
 
     def test_disable_returns_the_active_tracer(self):
-        tracer = enable()
-        assert disable() is tracer
-        assert not is_enabled()
+        # Leaving the scope turns tracing off again; the tracer keeps
+        # what it recorded.
+        tracer = Tracer()
+        with activate(tracer) as switch:
+            assert switch is SWITCH
+            count("ticks")
+        assert SWITCH.tracer is None
+        assert tracer.counters == {"ticks": 1}
 
     def test_activate_restores_previous_state(self):
-        outer = enable()
-        with activate() as inner:
-            assert inner is not outer
-            assert current_tracer() is inner
-        assert current_tracer() is outer
+        outer, inner = Tracer(), Tracer()
+        with activate(outer):
+            with activate(inner):
+                assert SWITCH.tracer is inner
+            assert SWITCH.tracer is outer
 
     def test_activate_restores_disabled_state(self):
-        disable()
-        with activate():
-            assert is_enabled()
-        assert not is_enabled()
+        with activate(Tracer()):
+            assert SWITCH.tracer is not None
+        assert SWITCH.tracer is None
 
     def test_activate_accepts_an_existing_tracer(self):
         mine = Tracer()
@@ -188,12 +181,12 @@ class TestModuleSwitch:
                         pass
                 # Exiting the inner activation restores the outer
                 # tracer with its span stack intact.
-                assert current_tracer() is outer
+                assert SWITCH.tracer is outer
                 assert outer.current is not None
                 assert outer.current.name == "outer-span"
         assert [s.name for s in outer.walk()] == ["outer-span"]
         assert [s.name for s in inner.walk()] == ["inner-span"]
-        assert not is_enabled()
+        assert SWITCH.tracer is None
 
     def test_activate_reentered_with_the_same_tracer(self):
         mine = Tracer()
@@ -204,7 +197,7 @@ class TestModuleSwitch:
                     # nesting under the open one.
                     with span("second"):
                         pass
-                assert current_tracer() is mine
+                assert SWITCH.tracer is mine
         roots = [s.name for s in mine.roots]
         assert roots == ["first"]
         assert [s.name for s in mine.roots[0].children] == ["second"]
@@ -214,14 +207,17 @@ class TestModuleSwitch:
 
 
 class TestCapture:
+    """A worker chunk's buffer: a fresh tracer activated around one
+    ``chunk`` span (what the executor's chunk trampoline does)."""
+
     def test_capture_isolates_a_fresh_buffer(self):
-        parent = enable()
-        with parent.span("parent-open"):
-            with capture("chunk", worker=3) as chunk_tracer:
-                assert OBS_STATE.tracer is chunk_tracer
+        parent, chunk_tracer = Tracer(), Tracer()
+        with activate(parent), parent.span("parent-open"):
+            with activate(chunk_tracer), span("chunk", worker=3):
+                assert SWITCH.tracer is chunk_tracer
                 with span("work"):
                     count("items", 9)
-            assert OBS_STATE.tracer is parent
+            assert SWITCH.tracer is parent
         assert [s.name for s in chunk_tracer.roots] == ["chunk"]
         root = chunk_tracer.roots[0]
         assert root.attrs == {"worker": 3}
@@ -232,9 +228,15 @@ class TestCapture:
         assert [s.name for s in parent.walk()] == ["parent-open"]
 
     def test_capture_closes_spans_left_open(self):
-        enable()
-        with capture("chunk") as chunk_tracer:
-            handle = chunk_tracer.span("leaked")
-            handle.__enter__()
+        # A chunk that raises still closes its chunk span and hands
+        # the parent's tracer back.
+        parent, chunk_tracer = Tracer(), Tracer()
+        with activate(parent):
+            with pytest.raises(RuntimeError):
+                with activate(chunk_tracer), span("chunk"):
+                    with span("work"):
+                        raise RuntimeError("chunk failed")
+            assert SWITCH.tracer is parent
+        assert [s.name for s in chunk_tracer.walk()] == ["chunk", "work"]
         for recorded in chunk_tracer.walk():
             assert recorded.end is not None

@@ -1,15 +1,12 @@
 """CLI surface of the executor backends: ``verify --backend`` /
 ``--workers-addr`` validation and the ``repro worker`` process."""
 
-import json
 import os
 import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
-
-import pytest
 
 from repro.cli import main
 from repro.parallel.worker import WorkerServer

@@ -289,9 +289,9 @@ class TestTelemetryOp:
         )
 
     def test_worker_telemetry_is_server_local(self, server):
-        from repro.obs.telemetry import TEL_STATE
+        from repro.obs.switch import SWITCH
 
-        assert TEL_STATE.enabled is False
+        assert SWITCH.telemetry is None
         c = _Client(server)
         try:
             _handshake(c)

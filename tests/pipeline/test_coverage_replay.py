@@ -13,17 +13,17 @@ from repro.cli import APPLICATIONS
 from repro.core.framework import DesignFramework
 from repro.obs.coverage import (
     CoverageRecorder,
-    activate_coverage,
     coverage_document,
     coverage_json,
 )
-from repro.obs.tracer import Tracer, activate
+from repro.obs.switch import activate
+from repro.obs.tracer import Tracer
 from repro.pipeline.cache import ResultCache
 from tests.refinement.test_first_second import broken_cancel_spec
 
 
 def _run(framework, recorder, **kwargs):
-    with activate_coverage(recorder):
+    with activate(coverage=recorder):
         return framework.verify_pipeline(**kwargs)
 
 
@@ -194,7 +194,7 @@ class TestScoping:
     def test_fail_fast_leaves_no_orphan_spans(self):
         tracer = Tracer()
         recorder = CoverageRecorder()
-        with activate(tracer), activate_coverage(recorder):
+        with activate(tracer, recorder):
             result = _broken_framework().verify_pipeline(
                 fail_fast=True
             )
@@ -210,7 +210,7 @@ class TestScoping:
 
     def test_fail_fast_coverage_excludes_aborted_checks(self):
         recorder = CoverageRecorder()
-        with activate_coverage(recorder):
+        with activate(coverage=recorder):
             result = _broken_framework().verify_pipeline(
                 fail_fast=True
             )
@@ -225,7 +225,7 @@ class TestScoping:
         payloads = []
         for _ in range(2):
             recorder = CoverageRecorder()
-            with activate_coverage(recorder):
+            with activate(coverage=recorder):
                 _broken_framework().verify_pipeline(
                     fail_fast=True, workers=workers
                 )

@@ -42,7 +42,6 @@ from repro.errors import ReproError
 from repro.information.spec import InformationSpec
 from repro.logic.parser import parse_formula
 from repro.logic.signature import Signature
-from repro.obs.coverage import activate_coverage
 from repro.refinement import compiled, second_third
 from repro.refinement.first_second import (
     check_static_consistency,
@@ -396,7 +395,7 @@ class TestFallbackCounters:
         ],
     )
     def test_coverage(self, run, name):
-        with activate_coverage():
+        with obs.activate(coverage=obs.CoverageRecorder()):
             _, counters = _counted(lambda: run(_app("courses")))
         assert counters[name] == 1
 
@@ -485,7 +484,7 @@ class TestFallbackCounters:
         _, counters = _counted(framework.verify)
         assert _fallbacks(counters) == {}
         assert counters["congruence.by_construction"] == 1
-        with activate_coverage():
+        with obs.activate(coverage=obs.CoverageRecorder()):
             _, counters = _counted(framework.verify)
         assert _fallbacks(counters) == {
             "explore.fallback.coverage": 1,

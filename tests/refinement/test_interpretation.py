@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import RefinementError
-from repro.logic.sorts import BOOLEAN, STATE, Sort
+from repro.logic.sorts import STATE
 from repro.logic.terms import Var
 from repro.refinement.interpretation import (
     Interpretation,

@@ -83,8 +83,6 @@ class TestModalTranslation:
         assert outer.body.lhs.predicate.name == "F"
 
     def test_diamond_becomes_exists(self, interpretation, info):
-        from repro.temporal.formulas import Possibly
-
         signature = info.signature
         from repro.logic.parser import parse_formula
 

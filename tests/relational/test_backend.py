@@ -17,7 +17,7 @@ from repro.relational import (
     SQLiteBackend,
     build_database,
 )
-from repro.runtime.apps import available_applications, build_app
+from repro.runtime.apps import available_applications
 
 APPLICATIONS = sorted(available_applications())
 

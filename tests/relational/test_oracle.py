@@ -8,8 +8,6 @@ oracle detects real divergence rather than vacuously passing.
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.relational import (

@@ -3,7 +3,6 @@ m (Section 5.1.2) plus the algebraic laws relating them, checked both
 pointwise (via run) and on materialized relations."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.errors import ExecutionError
 from repro.logic import formulas as fm
@@ -13,11 +12,9 @@ from repro.logic.terms import Var
 from repro.rpr.ast import (
     Assign,
     Insert,
-    ProcDecl,
     RelAssign,
     RelationalTerm,
     ScalarDecl,
-    ScalarRef,
     Schema,
     Seq,
     Skip,

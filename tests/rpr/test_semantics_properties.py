@@ -2,7 +2,6 @@
 laws of m hold for *randomly generated* statements, not just
 hand-picked ones."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.logic import formulas as fm
@@ -24,7 +23,7 @@ from repro.rpr.ast import (
     While,
     desugar,
 )
-from repro.rpr.semantics import DatabaseState, all_states, run
+from repro.rpr.semantics import DatabaseState, run
 
 THINGS = Sort("Things")
 VALUES = ("t1", "t2")

@@ -10,7 +10,8 @@ import threading
 import pytest
 
 from repro.errors import ServingError
-from repro.obs.telemetry import activate_telemetry
+from repro.obs.switch import activate
+from repro.obs.telemetry import Telemetry
 from repro.runtime.client import RuntimeClient, wait_until_ready
 from repro.runtime.server import RuntimeServer, serve
 from repro.runtime.service import SpecRuntime
@@ -144,7 +145,15 @@ def test_blocking_client_against_threaded_server(bank_app):
         rejected = client.update("deposit", "a2")
         assert rejected["accepted"] is False
         assert rejected["violation"]["kind"] == "precondition"
-        assert client.stats()["stats"]["rejected"] == 1
+        stats = client.stats()["stats"]
+        assert stats["rejected"] == 1
+        # The runtime's own decisions ride on the stats op.
+        assert stats["plans"] == {"compiled": 2, "fallback": 0}
+        assert stats["guard_tables"]["transition"] == {
+            "tabulated": 2,
+            "closures": 0,
+            "tautologies": 0,
+        }
         assert client.shutdown()["bye"]
     thread.join(timeout=10)
     assert not thread.is_alive()
@@ -181,7 +190,7 @@ class TestTelemetryOp:
         assert not stop
 
     def test_snapshot_reflects_served_traffic(self, server):
-        with activate_telemetry():
+        with activate(telemetry=Telemetry()):
             server.handle_request(
                 {
                     "op": "update",
@@ -214,7 +223,8 @@ class TestTelemetryOp:
         assert counters["runtime.rejected.precondition"]["total"] == 1
 
     def test_events_limit_is_honored(self, server):
-        with activate_telemetry() as telemetry:
+        telemetry = Telemetry()
+        with activate(telemetry=telemetry):
             for index in range(5):
                 telemetry.event("info", f"op{index}")
             response, _ = server.handle_request(

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.algebraic.compiler import UnsupportedTermError
+from repro.runtime import guards
+from repro.runtime.apps import build_app
 from repro.runtime.service import SpecRuntime
 
 
@@ -115,3 +120,72 @@ def test_admission_artifacts_cached(bank_app):
     runtime.execute("deposit", ("a1",))
     assert runtime._admission[("deposit", ("a1",))] is cached
     assert first is None or first is cached
+
+
+@pytest.mark.parametrize(
+    "name, static, transition, tautologies",
+    [
+        ("bank", 2, 2, 2),
+        ("courses", 1, 2, 0),
+        ("library", 6, 2, 0),
+        ("projects", 8, 2, 0),
+    ],
+)
+def test_stats_count_guard_table_groups(
+    name, static, transition, tautologies
+):
+    # Every read-set group of the four applications fits a decision
+    # table; bank's two tautological static groups are dropped.
+    app = build_app(name)
+    runtime = SpecRuntime(app.framework, app.descriptions)
+    assert runtime.stats["guard_tables"] == {
+        "static": {
+            "tabulated": static,
+            "closures": 0,
+            "tautologies": tautologies,
+        },
+        "transition": {
+            "tabulated": transition,
+            "closures": 0,
+            "tautologies": 0,
+        },
+    }
+    assert len(runtime.guard.static_tables) == static
+    assert len(runtime.guard.transition_tables) == transition
+
+
+def test_stats_count_closure_groups_over_the_table_limit(
+    bank_app, monkeypatch
+):
+    # With room for no valuation space every group keeps its closures
+    # (tautologies included: they are only found by tabulating).
+    monkeypatch.setattr(guards, "_TABLE_LIMIT", 1)
+    runtime = SpecRuntime(bank_app.framework, bank_app.descriptions)
+    assert runtime.stats["guard_tables"] == {
+        "static": {"tabulated": 0, "closures": 4, "tautologies": 0},
+        "transition": {"tabulated": 0, "closures": 2, "tautologies": 0},
+    }
+    # The closures admit and reject exactly as the tables do.
+    assert runtime.execute("open_account", ("a1",)).accepted
+    assert runtime.execute("deposit", ("a1",)).accepted
+    assert not runtime.execute("withdraw", ("a2",)).accepted
+
+
+def test_stats_count_compiled_and_fallback_plans(bank_app, monkeypatch):
+    runtime = SpecRuntime(bank_app.framework, bank_app.descriptions)
+    assert runtime.stats["plans"] == {"compiled": 0, "fallback": 0}
+    runtime.execute("open_account", ("a1",))
+    runtime.execute("deposit", ("a1",))
+    runtime.execute("deposit", ("a1",))  # the cached plan
+    assert runtime.stats["plans"] == {"compiled": 2, "fallback": 0}
+
+    def outside(update, params):
+        raise UnsupportedTermError("outside the canonical fragment")
+
+    # Equations outside the fragment: the plan falls back to the
+    # rewrite engine and still computes the same delta.
+    monkeypatch.setattr(runtime.store._planner, "_ground_actions", outside)
+    result = runtime.execute("withdraw", ("a1",))
+    assert result.accepted
+    assert result.delta == {("balance", ("a1",)): "m1"}
+    assert runtime.stats["plans"] == {"compiled": 3, "fallback": 1}

@@ -1,7 +1,6 @@
 """Tests for the temporal extension's formula nodes, including the
 duality property []P == ~<>~P."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.logic import formulas as fm

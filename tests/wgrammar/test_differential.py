@@ -2,7 +2,6 @@
 parser must agree on randomly generated schemas and on their broken
 mutations."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ParseError, WGrammarError

@@ -2,9 +2,7 @@
 differential test against the parser and the arity/uniqueness context
 conditions."""
 
-import pytest
-
-from repro.errors import ParseError, WGrammarError
+from repro.errors import ParseError
 from repro.rpr.parser import parse_schema
 from repro.wgrammar.grammar import (
     Call,
@@ -12,7 +10,6 @@ from repro.wgrammar.grammar import (
     LexicalMeta,
     Mark,
     MetaRef,
-    RuleMeta,
     Terminal,
     WGrammar,
 )
