@@ -27,9 +27,10 @@ absence of circularity".  This module implements both halves:
   equation's condition must hold — checked exhaustively on all traces
   up to a depth bound (the empirical counterpart of case exhaustion).
   Each trace's cells are evaluated in one batch on the engine's term
-  arena — in the pipeline, the rows of the shared trace table
-  (:mod:`repro.algebraic.tracetable`); a trace with a gap is redone
-  cell by cell, the reference loop, which words the gaps.
+  arena, or, in the pipeline, read from the rows of the shared trace
+  table (:mod:`repro.algebraic.tracetable`, built by plans inside the
+  plan fragment); a trace with a gap is redone cell by cell, the
+  reference loop, which words the gaps.
 """
 
 from __future__ import annotations
@@ -259,11 +260,11 @@ def check_coverage(
     on all traces up to the depth bound, recording terms on which no
     equation's condition held (dynamic gap).
 
-    A trace's observations are evaluated in one
+    A trace's observations are the row of the shared ``table`` when
+    one was built on ``spec`` (the check then reads its prefix and
+    evaluates nothing else), or one
     :meth:`~repro.algebraic.rewriting.RewriteEngine.evaluate_cells`
-    batch: the row of the shared ``table`` when one was built on
-    ``spec`` (the check then reads its prefix and evaluates nothing
-    else), or a batch on a trace algebra of its own.  The reference
+    batch on a trace algebra of its own.  The reference
     loop, one query per cell, redoes a trace whose batch raised, and
     runs every trace while coverage records.
 

@@ -50,6 +50,7 @@ class PackedExplorer:
 
     def __init__(self, algebra) -> None:
         self.algebra = algebra
+        self._initial: tuple | None = None
         spec = algebra.spec
         if algebra.normalize:
             raise PackedUnsupported("state normalization active")
@@ -88,15 +89,20 @@ class PackedExplorer:
     # ------------------------------------------------------------------
     # exploration
     # ------------------------------------------------------------------
-    def _initial_row(self) -> tuple:
-        """The initial state's value row (via the algebra's snapshot,
-        so arena batch evaluation and tracer counts behave exactly
-        like the object path's first snapshot)."""
-        snapshot = self.algebra.snapshot(self.algebra.initial_trace())
-        keys = tuple(key for key, _ in snapshot.entries)
-        if keys != self.cells:
-            raise PackedUnsupported("snapshot keys disagree with cells")
-        return tuple(value for _, value in snapshot.entries)
+    def initial_row(self) -> tuple:
+        """The initial state's value row, evaluated once per explorer:
+        :meth:`explore` and the trace table
+        (:mod:`repro.algebraic.tracetable`) both read it.  It comes
+        from the algebra's snapshot, so arena batch evaluation and
+        tracer counts behave exactly like the object path's first
+        snapshot."""
+        if self._initial is None:
+            snapshot = self.algebra.snapshot(self.algebra.initial_trace())
+            keys = tuple(key for key, _ in snapshot.entries)
+            if keys != self.cells:
+                raise PackedUnsupported("snapshot keys disagree with cells")
+            self._initial = tuple(value for _, value in snapshot.entries)
+        return self._initial
 
     def apply_instance(self, instance, row: tuple, get) -> tuple:
         """Apply one update instance's compiled plan to a value row.
@@ -156,7 +162,7 @@ class PackedExplorer:
         cells = self.cells
         instances = self.instances
 
-        initial_row = self._initial_row()
+        initial_row = self.initial_row()
         initial_trace = algebra.initial_trace()
         items = 1
         snap_of: dict[tuple, Snapshot] = {

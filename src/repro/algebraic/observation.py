@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from repro.algebraic.algebra import Snapshot, TraceAlgebra
 from repro.algebraic.tracetable import Row, TraceTable
@@ -140,7 +141,9 @@ def check_congruence(
         if entries is None:
             return _enumerate(algebra, depth, max_pairs_per_class)
         classes = Counter(row for _, row in entries)
-        reason = _congruent_by_construction(algebra, classes)
+        reason = _congruent_by_construction(
+            algebra, classes, table.successors
+        )
         if reason is None:
             _count("congruence.by_construction")
             return ObservabilityReport(
@@ -151,11 +154,15 @@ def check_congruence(
 
 
 def _congruent_by_construction(
-    algebra: TraceAlgebra, classes: Counter[Row]
+    algebra: TraceAlgebra,
+    classes: Counter[Row],
+    applied: Mapping[Row, tuple[Row, ...]],
 ) -> str | None:
     """Decide the congruence from the table alone — ``classes`` counts
-    the traces of each distinct row — returning ``None`` when the
-    lemma below applies, else the fallback reason.
+    the traces of each distinct row, ``applied`` holds the table's
+    memoized plan applications (:attr:`TraceTable.successors`) —
+    returning ``None`` when the lemma below applies, else the
+    fallback reason.
 
     **Lemma.**  Suppose :class:`PackedExplorer` constructs on the
     algebra: no U-equations, no state normalization, and every ground
@@ -178,20 +185,24 @@ def _congruent_by_construction(
     congruence by construction — the simple-observation condition of
     Section 4.1 — and the enumeration finds no violation.
 
-    **The enumeration could not have raised either.**  It evaluates
-    every cell of every table trace: the rows, which all evaluated,
-    or the check falls back (``row_error``).  And it evaluates every
+    **The enumeration could not have raised either.**  It first
+    snapshots every table trace, breadth-first
+    (:func:`observational_classes`): that is the reference build of
+    the table, and the table's rows are the reference's
+    (:mod:`repro.algebraic.tracetable` proves it for rows built by
+    plans), so it raises nowhere unless a row is ``None``; then the
+    check falls back (``row_error``).  It then evaluates every
     cell of ``u(a, t)`` for representatives ``t`` of each class with
-    two or more members: each instance's plan is applied once to that
-    class's row below, and a dispatch that runs out (or a
+    two or more members.  Each instance's plan has been applied to
+    that class's row without raising, while the table was built
+    (``applied``) or below, where a dispatch that runs out (or a
     specification error raised by a closure) falls back
-    (``dispatch_gap``).  Otherwise every cell's dispatch reaches an
-    entry that fires — the engine fires the same one — and every read
-    is a cell of ``t``.  Those cells were evaluated on this engine
-    when the table was built, and its memo keeps them, so a successor
-    cell fires one equation: it cannot run out of fuel or recursion
-    where its predecessor's row did not.  Classes with one member
-    take no successor snapshot in the enumeration, and none here.
+    (``dispatch_gap``).  So every cell's dispatch reaches an entry
+    that fires — the engine fires the same one — over cells of ``t``,
+    which the first pass left in the engine's memo: each cell fires
+    one equation, as in the table's proof, and cannot run out of fuel
+    or recursion.  Classes with one member take no successor snapshot
+    in the enumeration, and none here.
     """
     # Imported here, as in TraceAlgebra: the packed explorer and the
     # plan compiler load only when a check uses them.
@@ -206,7 +217,7 @@ def _congruent_by_construction(
     position = {cell: index for index, cell in enumerate(observations)}
     order = [position[cell] for cell in explorer.cells]
     for row, members in classes.items():
-        if members < 2:
+        if members < 2 or row in applied:
             continue
         packed_row = tuple(row[index] for index in order)
         get = dict(zip(observations, row)).__getitem__

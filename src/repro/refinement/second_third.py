@@ -1133,10 +1133,10 @@ def check_agreement(
     A complementary, more direct check than equation validity: it
     compares the two levels' answers to every query.
 
-    A trace's level-2 observations are evaluated in one
+    A trace's level-2 observations are the row of the shared ``table``
+    when one was built on ``algebra``, else one
     :meth:`~repro.algebraic.rewriting.RewriteEngine.evaluate_cells`
-    batch on the engine's term arena: the row of the shared ``table``
-    when one was built on ``algebra``, else a batch of its own.  The
+    batch of its own on the engine's term arena.  The
     reference, one :meth:`TraceAlgebra.query` per cell, redoes a trace
     whose batch raised, and runs every trace while coverage records or
     when the algebra is not ``packed``.

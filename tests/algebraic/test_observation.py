@@ -7,6 +7,8 @@ second-to-last update — information no simple observation exposes —
 and checks that the violation is caught.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro import obs
@@ -229,6 +231,33 @@ class TestCongruenceByConstruction:
         reference, report, counters = _both_paths(mutant, 2)
         _assert_same(reference, report)
         assert _path(counters) == ["congruence.by_construction"]
+
+    def test_reads_the_tables_plan_applications(self, monkeypatch):
+        # The table applied every instance's plan to the rows of the
+        # traces shallower than itself; congruence applies them only
+        # to the other rows of classes with two or more members.
+        algebra = TraceAlgebra(APPLICATIONS["projects"]().algebraic)
+        table = build_trace_table(algebra, 2)
+        explorer = algebra.packed_explorer()
+        apply_instance = explorer.apply_instance
+        applied = []
+
+        def counted(instance, row, get):
+            applied.append(row)
+            return apply_instance(instance, row, get)
+
+        monkeypatch.setattr(explorer, "apply_instance", counted)
+        assert check_congruence(algebra, depth=1, table=table).ok
+        assert applied == []
+        assert check_congruence(algebra, depth=2, table=table).ok
+        classes = Counter(table.rows)
+        rest = [
+            row
+            for row, members in classes.items()
+            if members > 1 and row not in table.successors
+        ]
+        assert rest
+        assert len(applied) == len(rest) * table.width
 
     def test_ping_pong_falls_outside_the_fragment(self):
         reference, report, counters = _both_paths(

@@ -13,6 +13,39 @@ class TestList:
             assert name in out
 
 
+class TestImports:
+    def test_cli_loads_no_plan_compiler(self):
+        # `repro serve` imports the CLI; the verifier's packed
+        # explorer and plan compiler load only when a check runs, so
+        # building the trace table leaves the server's modules alone.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        probe = (
+            "import sys, repro.cli\n"
+            "for name in ('repro.algebraic.exploration',"
+            " 'repro.algebraic.plans', 'repro.algebraic.tracetable'):\n"
+            "    print(name, name in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.splitlines() == [
+            "repro.algebraic.exploration False",
+            "repro.algebraic.plans False",
+            "repro.algebraic.tracetable True",
+        ]
+
+
 class TestVerify:
     @pytest.mark.slow
     def test_verify_courses_quiet(self, capsys):
