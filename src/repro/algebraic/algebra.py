@@ -347,12 +347,14 @@ class TraceAlgebra:
             ]
             for params in itertools.product(*domains):
                 observations.append((symbol.name, params))
-        return tuple(observations)
+        return tuple(sorted(observations))
 
     @property
     def observations(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
         """Every simple observation ``(query, parameter values)``
-        instantiable over the declared domains (paper, Section 4.1)."""
+        instantiable over the declared domains (paper, Section 4.1),
+        sorted: the key order of every :class:`Snapshot`, and so the
+        cell order of every value row built on this algebra."""
         return self._observations
 
     def snapshot(self, trace: Term) -> Snapshot:
@@ -366,18 +368,12 @@ class TraceAlgebra:
             tracer.count("algebra.snapshots")
         if self.packed:
             values = self.engine.evaluate_cells(trace, self._observations)
-            entries = tuple(sorted(zip(self._observations, values)))
         else:
-            entries = tuple(
-                sorted(
-                    (
-                        (name, params),
-                        self.query(name, *params, trace=trace),
-                    )
-                    for name, params in self._observations
-                )
-            )
-        return Snapshot(entries)
+            values = [
+                self.query(name, *params, trace=trace)
+                for name, params in self._observations
+            ]
+        return Snapshot(tuple(zip(self._observations, values)))
 
     def observationally_equal(self, left: Term, right: Term) -> bool:
         """True iff all simple observations agree on the two traces —

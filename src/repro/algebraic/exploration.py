@@ -56,9 +56,9 @@ class PackedExplorer:
             raise PackedUnsupported("state normalization active")
         if spec.u_equations:
             raise PackedUnsupported("specification has U-equations")
-        #: Sorted observation cells — exactly the key order of
-        #: :class:`~repro.algebraic.algebra.Snapshot` entries.
-        self.cells = tuple(sorted(algebra.observations))
+        #: The algebra's observation cells, the order of every value
+        #: row (:attr:`TraceAlgebra.observations`).
+        self.cells = algebra.observations
         self._cell_index = {cell: i for i, cell in enumerate(self.cells)}
         planner = UpdatePlanner(spec)
         signature = algebra.signature
@@ -98,9 +98,6 @@ class PackedExplorer:
         snapshot."""
         if self._initial is None:
             snapshot = self.algebra.snapshot(self.algebra.initial_trace())
-            keys = tuple(key for key, _ in snapshot.entries)
-            if keys != self.cells:
-                raise PackedUnsupported("snapshot keys disagree with cells")
             self._initial = tuple(value for _, value in snapshot.entries)
         return self._initial
 

@@ -114,7 +114,7 @@ def abstract_successor(
     engine: RewriteEngine | None = None,
 ) -> Snapshot:
     """The snapshot after applying ``update(params)`` to *any* state
-    whose snapshot is ``snapshot``.
+    whose snapshot is ``snapshot``, over the same cells.
 
     Well-defined because Q-equation right-hand sides and conditions
     only query the predecessor state (the structural-decrease property
@@ -129,56 +129,38 @@ def abstract_successor(
     ]
     successor_term = App(symbol, (*args, AbstractState(snapshot)))
     entries = []
-    for query_symbol in signature.queries:
-        domains = [
-            signature.domain(sort)
-            for sort in query_symbol.arg_sorts[:-1]
+    for cell, _ in snapshot.entries:
+        name, values = cell
+        query_symbol = signature.query(name)
+        value_terms = [
+            signature.value(sort, value)
+            for sort, value in zip(query_symbol.arg_sorts[:-1], values)
         ]
-        for values in itertools.product(*domains):
-            value_terms = [
-                signature.value(sort, value)
-                for sort, value in zip(
-                    query_symbol.arg_sorts[:-1], values
-                )
-            ]
-            observation = App(
-                query_symbol, (*value_terms, successor_term)
-            )
-            entries.append(
-                (
-                    (query_symbol.name, values),
-                    engine.evaluate(observation),
-                )
-            )
-    return Snapshot(tuple(sorted(entries)))
+        observation = App(query_symbol, (*value_terms, successor_term))
+        entries.append((cell, engine.evaluate(observation)))
+    return Snapshot(tuple(entries))
 
 
-def all_snapshots(spec: AlgebraicSpec) -> Iterator[Snapshot]:
-    """Every abstract snapshot over the observation-value space.
+def all_snapshots(algebra: TraceAlgebra) -> Iterator[Snapshot]:
+    """Every abstract snapshot over the observation-value space, keyed
+    by ``algebra``'s observations.
 
     Boolean observations range over {False, True}; observations of a
     parameter result sort range over that sort's domain.  The count is
     exponential in the number of observations — intended for the small
     carriers of bounded verification.
     """
-    signature = spec.signature
-    keys: list[tuple[str, tuple[str, ...]]] = []
+    signature = algebra.signature
+    cells = algebra.observations
     spaces: list[tuple] = []
-    for query_symbol in signature.queries:
-        domains = [
-            signature.domain(sort)
-            for sort in query_symbol.arg_sorts[:-1]
-        ]
-        for values in itertools.product(*domains):
-            keys.append((query_symbol.name, values))
-            if query_symbol.result_sort == BOOLEAN:
-                spaces.append((False, True))
-            else:
-                spaces.append(
-                    tuple(signature.domain(query_symbol.result_sort))
-                )
+    for name, _ in cells:
+        result_sort = signature.query(name).result_sort
+        if result_sort == BOOLEAN:
+            spaces.append((False, True))
+        else:
+            spaces.append(tuple(signature.domain(result_sort)))
     for combination in itertools.product(*spaces):
-        yield Snapshot(tuple(sorted(zip(keys, combination))))
+        yield Snapshot(tuple(zip(cells, combination)))
 
 
 @dataclass(frozen=True)
@@ -229,7 +211,7 @@ class InductionReport:
 
 
 def prove_invariant(
-    spec: AlgebraicSpec,
+    algebra: TraceAlgebra,
     invariant: Callable[[Snapshot], bool],
     max_abstract_states: int = 1_000_000,
 ) -> InductionReport:
@@ -241,19 +223,25 @@ def prove_invariant(
     every time the snapshot comes up again, as a P-state or as a step
     successor.
 
-    Step successors come from the packed explorer's compiled update
-    plans (the programs ``repro serve`` runs), applied to each
-    snapshot's value row.  :func:`abstract_successor`, object
-    rewriting over :class:`AbstractState` terms, remains the
-    reference and computes the step instead when the specification is
-    outside the plan fragment, while coverage is recording (so fire
-    sets come from the rewrite engine), and after a plan fails
-    mid-proof: the whole proof then reruns on it, so a dispatch gap
-    surfaces as the object path's exact ``IncompletenessError``.
+    Step successors come from the compiled update plans (the programs
+    ``repro serve`` runs) of the algebra's packed explorer, the one
+    exploration and the trace table use, applied to each snapshot's
+    value row.  :func:`abstract_successor`, object rewriting over
+    :class:`AbstractState` terms, remains the reference and computes
+    the step instead when the algebra is not ``packed``, while
+    coverage is recording (so fire sets come from the rewrite
+    engine), when the specification is outside the plan fragment, and
+    after a plan fails mid-proof: the whole proof then reruns on it,
+    so a dispatch gap surfaces as the object path's exact
+    ``IncompletenessError``.  Each counts
+    ``induction.fallback.<reason>``: ``disabled``, ``coverage``,
+    ``outside_fragment`` or ``dispatch_gap``.
 
     Args:
-        spec: the algebraic specification (must be structurally
-            terminating, so successors are snapshot-determined).
+        algebra: the trace algebra of the specification (which must
+            be structurally terminating, so successors are
+            snapshot-determined); every snapshot is keyed by its
+            observations.
         invariant: pure predicate on snapshots.
         max_abstract_states: safety bound on the abstract state space.
 
@@ -264,7 +252,7 @@ def prove_invariant(
     # imports this module.
     from repro.algebraic.exploration import PackedUnsupported
 
-    algebra = TraceAlgebra(spec)
+    spec = algebra.spec
     updates = list(algebra.update_instances())
     verdicts: dict[Snapshot, bool] = {}
 
@@ -281,7 +269,7 @@ def prove_invariant(
     if explorer is not None:
         try:
             report = _induct(
-                spec,
+                algebra,
                 holds,
                 base_ok,
                 updates,
@@ -292,7 +280,7 @@ def prove_invariant(
             fallback = "dispatch_gap"
     if report is None:
         report = _induct(
-            spec,
+            algebra,
             holds,
             base_ok,
             updates,
@@ -308,21 +296,15 @@ def prove_invariant(
 
 
 def _plan_explorer(algebra: TraceAlgebra):
-    """The packed explorer whose plans compute the step, or ``None``
-    with the reason the proof takes the object step instead."""
-    from repro.algebraic.exploration import (
-        PackedExplorer,
-        PackedUnsupported,
-    )
-
+    """The algebra's packed explorer, whose plans compute the step, or
+    ``None`` with the reason the proof takes the object step instead
+    (checked in the order of :meth:`TraceAlgebra._explore_packed`)."""
+    if not algebra.packed:
+        return None, "disabled"
     if SWITCH.coverage is not None:
         return None, "coverage"
-    try:
-        explorer = PackedExplorer(algebra)
-    except PackedUnsupported:
-        return None, "outside_fragment"
-    first = next(all_snapshots(algebra.spec))
-    if tuple(key for key, _ in first.entries) != explorer.cells:
+    explorer = algebra.packed_explorer()
+    if explorer is None:
         return None, "outside_fragment"
     return explorer, None
 
@@ -366,7 +348,7 @@ def _object_step(
 
 
 def _induct(
-    spec: AlgebraicSpec,
+    algebra: TraceAlgebra,
     holds: Callable[[Snapshot], bool],
     base_ok: bool,
     updates: list[tuple[str, tuple[str, ...]]],
@@ -377,7 +359,7 @@ def _induct(
     with ``successors`` yielding one successor per update instance."""
     counterexamples = []
     examined = 0
-    for index, snapshot in enumerate(all_snapshots(spec)):
+    for index, snapshot in enumerate(all_snapshots(algebra)):
         if index >= max_abstract_states:
             raise SpecificationError(
                 "abstract state space exceeds max_abstract_states; "

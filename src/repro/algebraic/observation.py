@@ -213,17 +213,13 @@ def _congruent_by_construction(
         return "outside_fragment"
     if None in classes:
         return "row_error"
-    observations = algebra.observations
-    position = {cell: index for index, cell in enumerate(observations)}
-    order = [position[cell] for cell in explorer.cells]
     for row, members in classes.items():
         if members < 2 or row in applied:
             continue
-        packed_row = tuple(row[index] for index in order)
-        get = dict(zip(observations, row)).__getitem__
+        get = dict(zip(explorer.cells, row)).__getitem__
         for instance in explorer.instances:
             try:
-                explorer.apply_instance(instance, packed_row, get)
+                explorer.apply_instance(instance, row, get)
             except (PackedUnsupported, ReproError):
                 return "dispatch_gap"
     return None

@@ -22,9 +22,9 @@ the explorer's instance as ``App(u, (*a, t))``, the interned term
 :meth:`TraceAlgebra.apply` builds, and its row is the plan of ``u(a)``
 applied to the row of its parent ``t``
 (:meth:`~repro.algebraic.exploration.PackedExplorer.apply_instance`),
-once per distinct parent row.  Rows are permuted from the explorer's
-sorted cell order to observation order once per distinct row.  The
-build counts ``traces.by_plans``.
+once per distinct parent row.  The explorer's rows are in observation
+order, so they are the table's rows as they stand.  The build counts
+``traces.by_plans``.
 
 **The reference.**  :func:`evaluate_rows`, one
 :meth:`~repro.algebraic.rewriting.RewriteEngine.evaluate_cells` batch
@@ -189,18 +189,18 @@ def _by_plans(algebra: TraceAlgebra, depth: int):
 def _apply_plans(algebra: TraceAlgebra, explorer, depth: int):
     """Build the table level by level, in :meth:`TraceAlgebra.traces`
     order, applying each instance's plan once per distinct parent
-    row (rows in the explorer's sorted cell order until the end)."""
+    row."""
     cells = explorer.cells
     instances = explorer.instances
     apply_instance = explorer.apply_instance
     traces: list[Term] = [algebra.initial_trace()]
-    packed: list[tuple] = [explorer.initial_row()]
+    rows: list[tuple] = [explorer.initial_row()]
     applied: dict[tuple, tuple[tuple, ...]] = {}
     start = 0
     for _ in range(depth):
         end = len(traces)
         for index in range(start, end):
-            row = packed[index]
+            row = rows[index]
             children = applied.get(row)
             if children is None:
                 get = dict(zip(cells, row)).__getitem__
@@ -211,15 +211,6 @@ def _apply_plans(algebra: TraceAlgebra, explorer, depth: int):
             parent = traces[index]
             for _update, _params, symbol, arg_terms, _ in instances:
                 traces.append(App(symbol, (*arg_terms, parent)))
-            packed.extend(children)
+            rows.extend(children)
         start = end
-    position = {cell: index for index, cell in enumerate(cells)}
-    order = [position[cell] for cell in algebra.observations]
-    permuted = {
-        row: tuple(row[index] for index in order) for row in set(packed)
-    }
-    successors = {
-        permuted[row]: tuple(permuted[child] for child in children)
-        for row, children in applied.items()
-    }
-    return traces, [permuted[row] for row in packed], successors
+    return traces, rows, applied

@@ -35,6 +35,7 @@ from repro.algebraic.description import (
 from repro.algebraic.equations import ConditionalEquation
 from repro.algebraic.signature import AlgebraicSignature
 from repro.algebraic.spec import AlgebraicSpec
+from repro.core.framework import DesignFramework
 from repro.information.spec import InformationSpec
 from repro.logic import formulas as fm
 from repro.logic.parser import parse_formula
@@ -55,6 +56,7 @@ __all__ = [
     "courses_algebraic",
     "courses_synthesized",
     "courses_schema_source",
+    "courses_framework",
 ]
 
 #: Sort of students (shared between levels 1 and 2).
@@ -420,3 +422,16 @@ schema
     then (delete TAKES(s, c) ; insert TAKES(s, c2))
 end-schema
 """
+
+
+def courses_framework(
+    students: list[str] | None = None, courses: list[str] | None = None
+) -> DesignFramework:
+    """The complete three-level courses registrar, ready to verify."""
+    return DesignFramework.from_sources(
+        information=courses_information(),
+        algebraic=courses_algebraic(students, courses),
+        schema_source=courses_schema_source(),
+        carriers=courses_information_carriers(students, courses),
+        name="courses registrar (the paper's running example)",
+    )

@@ -36,15 +36,9 @@ __all__ = ["main", "APPLICATIONS"]
 
 
 def _courses() -> DesignFramework:
-    from repro.applications import courses
+    from repro.applications.courses import courses_framework
 
-    return DesignFramework.from_sources(
-        information=courses.courses_information(),
-        algebraic=courses.courses_algebraic(),
-        schema_source=courses.courses_schema_source(),
-        carriers=courses.courses_information_carriers(),
-        name="courses registrar (the paper's running example)",
-    )
+    return courses_framework()
 
 
 def _library() -> DesignFramework:

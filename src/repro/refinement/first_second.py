@@ -190,7 +190,7 @@ def check_static_consistency(
 def prove_static_consistency(
     information: InformationSpec,
     carriers: dict[Sort, list[str]],
-    spec,
+    algebra: TraceAlgebra,
     interpretation: Interpretation | None = None,
     max_abstract_states: int = 1_000_000,
 ):
@@ -207,10 +207,12 @@ def prove_static_consistency(
     The invariant is "the state satisfies every static constraint";
     the step is checked over *every abstract state* satisfying it —
     exactly the closure of V — via
-    :func:`repro.algebraic.induction.prove_invariant`.  The invariant
-    decides the compiled constraints on M(snapshot); the reference
-    realizes the snapshot as a structure under I and decides the
-    generic satisfaction relation.
+    :func:`repro.algebraic.induction.prove_invariant` on ``algebra``,
+    the trace algebra of the functions-level specification (a run
+    passes its shared one).  The invariant decides the compiled
+    constraints on M(snapshot); the reference realizes the snapshot
+    as a structure under I and decides the generic satisfaction
+    relation.
 
     Returns:
         An :class:`~repro.algebraic.induction.InductionReport`; if it
@@ -219,13 +221,13 @@ def prove_static_consistency(
     from repro.algebraic.induction import prove_invariant
     from repro.logic.semantics import satisfies
 
+    spec = algebra.spec
     if interpretation is None:
         interpretation = Interpretation.homonym(
             information, spec.signature
         )
     compiled, fallback = _compile_states(
-        information, carriers, TraceAlgebra(spec), interpretation,
-        compile_static,
+        information, carriers, algebra, interpretation, compile_static
     )
 
     if compiled is not None:
@@ -248,7 +250,7 @@ def prove_static_consistency(
             )
 
     return prove_invariant(
-        spec, invariant, max_abstract_states=max_abstract_states
+        algebra, invariant, max_abstract_states=max_abstract_states
     )
 
 

@@ -41,19 +41,16 @@ def _bank() -> RuntimeApp:
 
 
 def _courses() -> RuntimeApp:
-    from repro.applications import courses
-
-    framework = DesignFramework.from_sources(
-        information=courses.courses_information(),
-        algebraic=courses.courses_algebraic(),
-        schema_source=courses.courses_schema_source(),
-        carriers=courses.courses_information_carriers(),
-        name="courses registrar (the paper's running example)",
+    from repro.applications.courses import (
+        courses_descriptions,
+        courses_framework,
     )
+
+    framework = courses_framework()
     return RuntimeApp(
         "courses",
         framework,
-        courses.courses_descriptions(framework.algebraic.signature),
+        courses_descriptions(framework.algebraic.signature),
     )
 
 

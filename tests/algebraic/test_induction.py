@@ -53,11 +53,12 @@ def _static_ok(snapshot: Snapshot) -> bool:
 class TestAbstractStates:
     def test_abstract_space_size(self, spec):
         # 6 Boolean observations -> 2^6 abstract snapshots.
-        assert sum(1 for _ in all_snapshots(spec)) == 64
+        assert sum(1 for _ in all_snapshots(TraceAlgebra(spec))) == 64
 
     def test_abstract_space_with_valued_queries(self):
         # bank: 2 Boolean (open) x 2 money-valued (balance, |money|=4).
-        assert sum(1 for _ in all_snapshots(bank_algebraic())) == 64
+        algebra = TraceAlgebra(bank_algebraic())
+        assert sum(1 for _ in all_snapshots(algebra)) == 64
 
     def test_oracle_engine_answers_from_snapshot(self, spec):
         algebra = TraceAlgebra(spec)
@@ -94,7 +95,7 @@ class TestAbstractSuccessor:
         # takes(s1,c1) without offered(c1): unreachable, but the
         # abstract successor is still defined by the equations.
         base = {key: False for key, _ in next(
-            iter(all_snapshots(spec))
+            iter(all_snapshots(TraceAlgebra(spec)))
         ).entries}
         base[("takes", ("s1", "c1"))] = True
         snapshot = Snapshot(tuple(sorted(base.items())))
@@ -105,7 +106,7 @@ class TestAbstractSuccessor:
 
 class TestProveInvariant:
     def test_static_constraint_proved(self, spec):
-        report = prove_invariant(spec, _static_ok)
+        report = prove_invariant(TraceAlgebra(spec), _static_ok)
         assert report.ok
         assert report.base_ok and report.step_ok
         # The step quantified over exactly the 25 V-states.
@@ -114,7 +115,7 @@ class TestProveInvariant:
 
     def test_false_invariant_fails_with_witnesses(self, spec):
         report = prove_invariant(
-            spec,
+            TraceAlgebra(spec),
             lambda s: ("c1",) not in s.relation("offered"),
         )
         assert not report.ok
@@ -126,14 +127,16 @@ class TestProveInvariant:
 
     def test_base_violation_detected(self, spec):
         report = prove_invariant(
-            spec, lambda s: bool(s.relation("offered"))
+            TraceAlgebra(spec), lambda s: bool(s.relation("offered"))
         )
         assert not report.base_ok
         assert not report.ok
 
     def test_state_bound_enforced(self, spec):
         with pytest.raises(SpecificationError):
-            prove_invariant(spec, _static_ok, max_abstract_states=3)
+            prove_invariant(
+                TraceAlgebra(spec), _static_ok, max_abstract_states=3
+            )
 
 
 class TestProveStaticConsistency:
@@ -167,18 +170,20 @@ def _faulty_cancel_spec() -> AlgebraicSpec:
     return AlgebraicSpec(signature, tuple(equations))
 
 
-def _prove_courses_static(spec) -> InductionReport:
+def _prove_courses_static(spec, packed: bool = True) -> InductionReport:
     return prove_static_consistency(
-        courses_information(), courses_information_carriers(), spec
+        courses_information(),
+        courses_information_carriers(),
+        TraceAlgebra(spec, packed=packed),
     )
 
 
-def _prove_app_static(name: str) -> InductionReport:
+def _prove_app_static(name: str, packed: bool = True) -> InductionReport:
     framework = APPLICATIONS[name]()
     return prove_static_consistency(
         framework.information,
         framework.carriers,
-        framework.algebraic,
+        TraceAlgebra(framework.algebraic, packed=packed),
         framework.interpretation,
     )
 
@@ -252,9 +257,10 @@ class TestPlanStepMatchesObjectStep:
         def invariant(snapshot):
             return ("c1",) not in snapshot.relation("offered")
 
-        plan = prove_invariant(spec, invariant)
+        plan = prove_invariant(TraceAlgebra(spec), invariant)
         reference = _object_step_report(
-            monkeypatch, lambda: prove_invariant(spec, invariant)
+            monkeypatch,
+            lambda: prove_invariant(TraceAlgebra(spec), invariant),
         )
         _assert_same_report(plan, reference)
         assert plan.counterexamples
@@ -270,6 +276,40 @@ class TestPlanStepMatchesObjectStep:
         _assert_same_report(plan, reference)
 
 
+class TestUnpackedAlgebraTakesTheObjectStep:
+    """``packed=False`` forces the reference step, as it forces the
+    object BFS and every other check's reference path."""
+
+    @staticmethod
+    def _assert_object_step(prove) -> None:
+        plan = prove(True)
+        reference, counters = _traced(lambda: prove(False))
+        _assert_same_report(plan, reference)
+        assert counters["induction.fallback.disabled"] == 1
+        assert counters["induction.packed_steps"] == 0
+        assert counters["induction.object_steps"] > 0
+
+    @pytest.mark.parametrize("app", ["courses", "library", "bank"])
+    def test_applications(self, app):
+        self._assert_object_step(
+            lambda packed: _prove_app_static(app, packed)
+        )
+
+    @pytest.mark.slow
+    def test_projects(self):
+        self._assert_object_step(
+            lambda packed: _prove_app_static("projects", packed)
+        )
+
+    @pytest.mark.parametrize(
+        "label,mutant", MUTANTS, ids=[label for label, _ in MUTANTS]
+    )
+    def test_mutants(self, label, mutant):
+        self._assert_object_step(
+            lambda packed: _prove_courses_static(mutant, packed)
+        )
+
+
 class TestOncePerState:
     def test_invariant_once_per_snapshot_courses(self, spec):
         seen = []
@@ -278,7 +318,9 @@ class TestOncePerState:
             seen.append(snapshot)
             return _static_ok(snapshot)
 
-        report, counters = _traced(lambda: prove_invariant(spec, invariant))
+        report, counters = _traced(
+            lambda: prove_invariant(TraceAlgebra(spec), invariant)
+        )
         assert report.ok
         assert len(seen) == len(set(seen)) == 64
         assert counters["induction.invariant_evals"] == 64
@@ -332,7 +374,9 @@ class TestOncePerState:
 class TestObjectStepFallback:
     def test_outside_fragment(self, spec, monkeypatch):
         _force_object_step(monkeypatch)
-        report, counters = _traced(lambda: prove_invariant(spec, _static_ok))
+        report, counters = _traced(
+            lambda: prove_invariant(TraceAlgebra(spec), _static_ok)
+        )
         assert report.ok
         assert counters["induction.fallback.outside_fragment"] == 1
         assert counters["induction.object_steps"] == 400
@@ -343,10 +387,10 @@ class TestObjectStepFallback:
         # The plans compile; the gap only shows when a step runs.
         PackedExplorer(TraceAlgebra(spec))
         with pytest.raises(IncompletenessError) as plan:
-            prove_invariant(spec, lambda snapshot: True)
+            prove_invariant(TraceAlgebra(spec), lambda snapshot: True)
         _force_object_step(monkeypatch)
         with pytest.raises(IncompletenessError) as reference:
-            prove_invariant(spec, lambda snapshot: True)
+            prove_invariant(TraceAlgebra(spec), lambda snapshot: True)
         assert str(plan.value) == str(reference.value)
         assert "q(c2, touch(c1, " in str(plan.value)
 
@@ -361,9 +405,13 @@ class TestObjectStepFallback:
             return original(self, instance, row, get)
 
         monkeypatch.setattr(PackedExplorer, "apply_instance", gap_on_fifth)
-        report, counters = _traced(lambda: prove_invariant(spec, _static_ok))
+        report, counters = _traced(
+            lambda: prove_invariant(TraceAlgebra(spec), _static_ok)
+        )
         monkeypatch.undo()
-        _assert_same_report(report, prove_invariant(spec, _static_ok))
+        _assert_same_report(
+            report, prove_invariant(TraceAlgebra(spec), _static_ok)
+        )
         assert counters["induction.fallback.dispatch_gap"] == 1
         assert counters["induction.packed_steps"] == 5
         assert counters["induction.object_steps"] == 400
@@ -375,15 +423,17 @@ class TestObjectStepFallback:
 
         monkeypatch.setattr(PackedExplorer, "apply_instance", broken)
         with pytest.raises(RuntimeError, match="plan step bug"):
-            prove_invariant(spec, _static_ok)
+            prove_invariant(TraceAlgebra(spec), _static_ok)
 
     def test_coverage_takes_object_step(self, spec):
         recorder = obs.CoverageRecorder()
         with obs.activate(coverage=recorder):
             report, counters = _traced(
-                lambda: prove_invariant(spec, _static_ok)
+                lambda: prove_invariant(TraceAlgebra(spec), _static_ok)
             )
-        _assert_same_report(report, prove_invariant(spec, _static_ok))
+        _assert_same_report(
+            report, prove_invariant(TraceAlgebra(spec), _static_ok)
+        )
         assert counters["induction.fallback.coverage"] == 1
         assert counters["induction.object_steps"] == 400
         assert counters["induction.packed_steps"] == 0

@@ -138,7 +138,7 @@ def _transitions(design):
 
 def _induction(design):
     return prove_static_consistency(
-        design.information, design.carriers, design.spec,
+        design.information, design.carriers, design.algebra(),
         design.interpretation,
     )
 
