@@ -3,9 +3,11 @@
 Coverage recording shares the tracer's switch: with the ``coverage``
 slot of :data:`repro.obs.switch.SWITCH` empty every instrumentation
 point is one attribute load and branch, and that case is already
-covered by the 5% gate of :mod:`benchmarks.bench_obs`.  What this module measures is coverage *ON* — the opt-in
-cost of recording dispatch cells and fired-equation sets on the
-rewrite hot path.  ``benchmarks/check_obs_overhead.py --coverage-run``
+covered by the 5% gate of :mod:`benchmarks.bench_obs`.  What this
+module measures is coverage *ON* — the opt-in cost of recording
+fired-equation sets on the rewrite hot path and on every application
+of a compiled update plan.
+``benchmarks/check_obs_overhead.py --coverage-run``
 gates the pair ``bench_snapshot_cov_off`` / ``bench_snapshot_cov_on``
 at 1.15 (<= 15% within-run overhead).
 
@@ -86,7 +88,8 @@ def bench_snapshot_cov_on(benchmark):
 
 def bench_explore_cov_on(benchmark):
     """Full state-space exploration with coverage ON (informational:
-    exploration records nothing per state, only the final census)."""
+    the packed explorer records each cell's fired equation on every
+    plan application, then the census is recorded once)."""
     spec = courses_algebraic()
 
     def run():

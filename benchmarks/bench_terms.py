@@ -139,7 +139,7 @@ def bench_compiled_dispatch_cold_cache(benchmark):
 def bench_exploration_packed(benchmark, mode):
     """Full state-space exploration, object BFS vs the packed
     value-row explorer (same graph, byte-identical; the ratio is the
-    arena's exploration speedup and is gated in CI by
+    packed explorer's speedup and is gated in CI by
     ``check_kernel_regression.py --explore-speedup``)."""
     spec = courses_algebraic(default_students(2), default_courses(3))
     algebra = TraceAlgebra(spec, packed=(mode == "arena"))

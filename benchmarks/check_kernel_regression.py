@@ -16,9 +16,10 @@ which shows up as far more than 2x.
 
 ``--explore-speedup`` additionally gates the packed explorer's win
 *within the run itself*: the object-mode exploration mean must be at
-least ``FACTOR`` times the arena-mode mean.  Because both sides are
-measured on the same host in the same session, the ratio is immune to
-machine-speed differences and can be gated tightly.
+least ``FACTOR`` times the packed mode's (the ``[arena]`` case's)
+mean.  Because both sides are measured on the same host in the same
+session, the ratio is immune to machine-speed differences and can be
+gated tightly.
 
 Benchmarks present in only one of the two files are reported but do
 not fail the check, so adding a benchmark does not require

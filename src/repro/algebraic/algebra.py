@@ -252,10 +252,13 @@ class TraceAlgebra:
         #: by the specification's U-equations (a no-op for
         #: specifications without them).
         self.normalize = normalize
-        #: When True (the default), serial exploration may use the
-        #: packed value-row explorer and snapshots evaluate through
-        #: the engine's term arena; ``packed=False`` forces the
-        #: original object path (the differential baseline).
+        #: When True (the default), the checks may take their fast
+        #: paths: explore, the trace table, congruence, agreement and
+        #: the induction step on the packed explorer's compiled
+        #: plans, and (b), (c), (d) and the induction invariant on
+        #: compiled closures.  ``packed=False`` sends every one of
+        #: them down its reference path (the differential baseline),
+        #: counted as ``<check>.fallback.disabled``.
         self.packed = packed
         self._observations = self._build_observations()
         #: Lazily built packed explorer (None until first use; False
@@ -366,13 +369,7 @@ class TraceAlgebra:
         tracer = SWITCH.tracer
         if tracer is not None:
             tracer.count("algebra.snapshots")
-        if self.packed:
-            values = self.engine.evaluate_cells(trace, self._observations)
-        else:
-            values = [
-                self.query(name, *params, trace=trace)
-                for name, params in self._observations
-            ]
+        values = self.engine.evaluate_cells(trace, self._observations)
         return Snapshot(tuple(zip(self._observations, values)))
 
     def observationally_equal(self, left: Term, right: Term) -> bool:
@@ -440,16 +437,14 @@ class TraceAlgebra:
     ) -> tuple[StateGraph, int] | None:
         """Try the packed value-row explorer; ``None`` falls back to
         the object BFS, counted as ``explore.fallback.<reason>``:
-        ``disabled`` (``packed=False``), ``coverage`` (recording
-        active), ``outside_fragment``, ``unsupported_midrun`` (a plan
-        gap during the run) or ``spec_error`` (a specification error
-        the object path reports with its exact message)."""
+        ``disabled`` (``packed=False``), ``outside_fragment``,
+        ``unsupported_midrun`` (a plan gap during the run) or
+        ``spec_error`` (a specification error the object path reports
+        with its exact message)."""
         from repro.algebraic.exploration import PackedUnsupported
 
         if not self.packed:
             return _object_path("disabled")
-        if SWITCH.coverage is not None:
-            return _object_path("coverage")
         explorer = self.packed_explorer()
         if explorer is None:
             return _object_path("outside_fragment")

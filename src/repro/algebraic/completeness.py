@@ -26,8 +26,9 @@ absence of circularity".  This module implements both halves:
   every ground instance over the parameter domains at least one
   equation's condition must hold — checked exhaustively on all traces
   up to a depth bound (the empirical counterpart of case exhaustion).
-  Each trace's cells are evaluated in one batch on the engine's term
-  arena, or, in the pipeline, read from the rows of the shared trace
+  Each trace's cells are evaluated in one
+  :meth:`~repro.algebraic.rewriting.RewriteEngine.evaluate_cells`
+  batch, or, in the pipeline, read from the rows of the shared trace
   table (:mod:`repro.algebraic.tracetable`, built by plans inside the
   plan fragment); a trace with a gap is redone cell by cell, the
   reference loop, which words the gaps.
@@ -51,7 +52,6 @@ from repro.algebraic.spec import AlgebraicSpec
 from repro.algebraic.tracetable import TraceTable, evaluate_rows
 from repro.logic.terms import App, Term, Var
 from repro.obs.stats import counter_delta, engine_counters
-from repro.obs.switch import SWITCH
 from repro.obs.tracer import count as _count, record as _record, span as _span
 
 __all__ = [
@@ -264,31 +264,21 @@ def check_coverage(
     one was built on ``spec`` (the check then reads its prefix and
     evaluates nothing else), or one
     :meth:`~repro.algebraic.rewriting.RewriteEngine.evaluate_cells`
-    batch on a trace algebra of its own.  The reference
-    loop, one query per cell, redoes a trace whose batch raised, and
-    runs every trace while coverage records.
+    batch on a trace algebra of its own.  The reference loop, one
+    query per cell, redoes a trace whose batch raised.
 
     The rewrite work and the cells evaluated (``items``) are counted
     on the active span.
     """
     missing = _missing_constructors(spec)
-    # While coverage records, fire sets come from the reference loop.
-    batch = SWITCH.coverage is None
-    if not batch:
-        _count("completeness.fallback.coverage")
     entries = None
-    if batch and table is not None and table.algebra.spec is spec:
+    if table is not None and table.algebra.spec is spec:
         entries = table.entries(table.algebra, depth)
     if entries is not None:
         algebra = table.algebra
     else:
         algebra = TraceAlgebra(spec)
-        traces = algebra.traces(depth)
-        entries = (
-            evaluate_rows(algebra, traces)
-            if batch
-            else ((trace, None) for trace in traces)
-        )
+        entries = evaluate_rows(algebra, algebra.traces(depth))
     observations = algebra.observations
     before = engine_counters(algebra.engine)
     items = 0
@@ -299,8 +289,7 @@ def check_coverage(
         if row is not None:
             items += len(observations)
             continue
-        if batch:
-            _count("completeness.cell_fallbacks")
+        _count("completeness.cell_fallbacks")
         for name, params in observations:
             items += 1
             try:

@@ -19,6 +19,18 @@ normalization, a plan falling back to the rewrite engine) raises
 :class:`PackedUnsupported` at construction, and any error during a run
 makes the algebra fall back to the object BFS so spec errors surface
 with their exact term-level messages.
+
+**Proof coverage.**  Each dispatch entry of a plan names its
+equation, and a plan fires, for every cell, the entry the rewrite
+engine fires on the successor trace (the lemma of
+:func:`repro.algebraic.observation._congruent_by_construction`).  So
+while coverage records, :meth:`PackedExplorer.applier` returns an
+application that also records, per cell, the equation of the first
+entry whose condition holds on the source row — including the pure
+frame cells the plan prunes — and the fire sets equal the engine's.
+Every loop over plan applications (explore, the trace table,
+congruence, the induction step) reads the applier once, so a run
+without coverage applies the plans with no recording check at all.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ from collections import deque
 
 from repro.algebraic.plans import UpdatePlanner
 from repro.logic.terms import App, Term
+from repro.obs.switch import SWITCH
 
 __all__ = ["PackedExplorer", "PackedUnsupported"]
 
@@ -64,7 +77,9 @@ class PackedExplorer:
         signature = algebra.signature
         #: One entry per ground update instance, in
         #: ``update_instances()`` order: (update, params, symbol,
-        #: argument value terms, indexed plan actions).
+        #: argument value terms, indexed plan actions, and every
+        #: cell's ``(query, entries)``, the pruned frame cells
+        #: included, for coverage recording).
         self.instances = []
         for update, params in algebra.update_instances():
             plan = planner.compile(update, params)
@@ -82,8 +97,14 @@ class PackedExplorer:
                 (self._cell_index[cell], entries)
                 for cell, entries in plan.actions
             )
+            dispatch = tuple(
+                (query, entries)
+                for (query, _values), entries in (
+                    plan.actions + plan.frames
+                )
+            )
             self.instances.append(
-                (update, params, symbol, arg_terms, actions)
+                (update, params, symbol, arg_terms, actions, dispatch)
             )
 
     # ------------------------------------------------------------------
@@ -93,8 +114,8 @@ class PackedExplorer:
         """The initial state's value row, evaluated once per explorer:
         :meth:`explore` and the trace table
         (:mod:`repro.algebraic.tracetable`) both read it.  It comes
-        from the algebra's snapshot, so arena batch evaluation and
-        tracer counts behave exactly like the object path's first
+        from the algebra's snapshot, so rewriting, tracer counts and
+        recorded fires behave exactly like the object path's first
         snapshot."""
         if self._initial is None:
             snapshot = self.algebra.snapshot(self.algebra.initial_trace())
@@ -117,7 +138,7 @@ class PackedExplorer:
             PackedUnsupported: no equation fires for some cell (a
                 sufficient-completeness gap the object path reports).
         """
-        _update, _params, _symbol, _arg_terms, actions = instance
+        actions = instance[4]
         out = None
         for index, entries in actions:
             for condition, rhs, _eq in entries:
@@ -138,6 +159,35 @@ class PackedExplorer:
                     f"no equation fires for cell {self.cells[index]}"
                 )
         return row if out is None else tuple(out)
+
+    def applier(self):
+        """:meth:`apply_instance`, or, while coverage records, an
+        application that also records each cell's fired equation.
+
+        For every cell of the plan, the pruned frame cells included,
+        the recorded equation is that of the first dispatch entry
+        whose condition holds on the source row, the entry the rewrite
+        engine fires.  Nothing is recorded for an application that
+        raises: the caller's reference path records instead.  A loop
+        reads the applier once, before its first application.
+        """
+        coverage = SWITCH.coverage
+        if coverage is None:
+            return self.apply_instance
+        record = coverage.record_fire
+        apply_instance = self.apply_instance
+
+        def apply_recording(instance, row: tuple, get) -> tuple:
+            target = apply_instance(instance, row, get)
+            update = instance[0]
+            for query, entries in instance[5]:
+                for condition, _rhs, equation in entries:
+                    if condition is None or condition(get):
+                        record(query, update, equation)
+                        break
+            return target
+
+        return apply_recording
 
     def explore(self, max_states: int, max_depth: int | None):
         """Run the packed BFS; byte-identical to
@@ -172,14 +222,15 @@ class PackedExplorer:
         frontier: deque[tuple[tuple, Snapshot, Term, int]] = deque(
             [(initial_row, initial_snapshot, initial_trace, 0)]
         )
+        apply_instance = self.applier()
         while frontier:
             row, source_snapshot, trace, depth = frontier.popleft()
             if max_depth is not None and depth >= max_depth:
                 continue
             get = dict(zip(cells, row)).__getitem__
             for instance in instances:
-                target_row = self.apply_instance(instance, row, get)
-                update, params, symbol, arg_terms, _actions = instance
+                target_row = apply_instance(instance, row, get)
+                update, params, symbol, arg_terms, _, _ = instance
                 items += 1
                 target_snapshot = snap_of.get(target_row)
                 if target_snapshot is None:

@@ -46,7 +46,6 @@ from repro.algebraic.rewriting import RewriteEngine
 from repro.algebraic.spec import AlgebraicSpec
 from repro.logic.sorts import BOOLEAN, STATE
 from repro.logic.terms import App, Term, Var
-from repro.obs.switch import SWITCH
 from repro.obs.tracer import count as _count
 
 __all__ = [
@@ -226,15 +225,15 @@ def prove_invariant(
     Step successors come from the compiled update plans (the programs
     ``repro serve`` runs) of the algebra's packed explorer, the one
     exploration and the trace table use, applied to each snapshot's
-    value row.  :func:`abstract_successor`, object rewriting over
+    value row; while coverage records, they record the equation each
+    cell fires, as the reference's rewriting would.
+    :func:`abstract_successor`, object rewriting over
     :class:`AbstractState` terms, remains the reference and computes
-    the step instead when the algebra is not ``packed``, while
-    coverage is recording (so fire sets come from the rewrite
-    engine), when the specification is outside the plan fragment, and
-    after a plan fails mid-proof: the whole proof then reruns on it,
-    so a dispatch gap surfaces as the object path's exact
-    ``IncompletenessError``.  Each counts
-    ``induction.fallback.<reason>``: ``disabled``, ``coverage``,
+    the step instead when the algebra is not ``packed``, when the
+    specification is outside the plan fragment, and after a plan
+    fails mid-proof: the whole proof then reruns on it, so a dispatch
+    gap surfaces as the object path's exact ``IncompletenessError``.
+    Each counts ``induction.fallback.<reason>``: ``disabled``,
     ``outside_fragment`` or ``dispatch_gap``.
 
     Args:
@@ -301,8 +300,6 @@ def _plan_explorer(algebra: TraceAlgebra):
     (checked in the order of :meth:`TraceAlgebra._explore_packed`)."""
     if not algebra.packed:
         return None, "disabled"
-    if SWITCH.coverage is not None:
-        return None, "coverage"
     explorer = algebra.packed_explorer()
     if explorer is None:
         return None, "outside_fragment"
@@ -313,7 +310,7 @@ def _plan_step(explorer, steps: dict[str, int]):
     """Successors by the explorer's compiled plans, over value rows."""
     cells = explorer.cells
     instances = explorer.instances
-    apply_instance = explorer.apply_instance
+    apply_instance = explorer.applier()
 
     def successors(snapshot: Snapshot) -> Iterator[Snapshot]:
         row = tuple(value for _, value in snapshot.entries)

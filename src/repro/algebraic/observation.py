@@ -28,7 +28,6 @@ from repro.algebraic.algebra import Snapshot, TraceAlgebra
 from repro.algebraic.tracetable import Row, TraceTable
 from repro.errors import ReproError
 from repro.logic.terms import Term
-from repro.obs.switch import SWITCH
 from repro.obs.tracer import count as _count
 
 __all__ = [
@@ -119,11 +118,10 @@ def check_congruence(
     construction (:func:`_congruent_by_construction` proves the
     lemma) without taking a successor snapshot.  It counts
     ``congruence.by_construction``, or runs the enumeration and counts
-    ``congruence.fallback.<reason>``: ``coverage`` (recording active),
-    ``disabled`` (the algebra is not ``packed``), ``outside_fragment``,
-    ``row_error`` (a table row failed to evaluate) or
-    ``dispatch_gap``.  Without a table that can serve ``depth`` the
-    enumeration runs uncounted.
+    ``congruence.fallback.<reason>``: ``disabled`` (the algebra is not
+    ``packed``), ``outside_fragment``, ``row_error`` (a table row
+    failed to evaluate) or ``dispatch_gap``.  Without a table that can
+    serve ``depth`` the enumeration runs uncounted.
 
     Args:
         algebra: the trace algebra to examine.
@@ -132,9 +130,7 @@ def check_congruence(
             observational class.
         table: the shared trace table, if one was built.
     """
-    if SWITCH.coverage is not None:
-        reason = "coverage"
-    elif not algebra.packed:
+    if not algebra.packed:
         reason = "disabled"
     else:
         entries = None if table is None else table.entries(algebra, depth)
@@ -203,6 +199,11 @@ def _congruent_by_construction(
     one equation, as in the table's proof, and cannot run out of fuel
     or recursion.  Classes with one member take no successor snapshot
     in the enumeration, and none here.
+
+    While coverage records, each plan applied here records the
+    equations the enumeration's successor snapshots fire (one
+    application per class row and instance, as in the enumeration);
+    the table recorded those of the rows it applied.
     """
     # Imported here, as in TraceAlgebra: the packed explorer and the
     # plan compiler load only when a check uses them.
@@ -213,13 +214,14 @@ def _congruent_by_construction(
         return "outside_fragment"
     if None in classes:
         return "row_error"
+    apply_instance = explorer.applier()
     for row, members in classes.items():
         if members < 2 or row in applied:
             continue
         get = dict(zip(explorer.cells, row)).__getitem__
         for instance in explorer.instances:
             try:
-                explorer.apply_instance(instance, row, get)
+                apply_instance(instance, row, get)
             except (PackedUnsupported, ReproError):
                 return "dispatch_gap"
     return None

@@ -19,9 +19,11 @@ in declaration order — mirroring
 entry whose condition holds fires; an exhausted dispatch list is a
 sufficient-completeness failure.  Cells whose dispatch is *sealed* by
 an unconditional entry and writes nothing (pure frame cells) are
-pruned; cells with an unsealed dispatch are kept even when they never
-write, so the incompleteness error of the trace semantics is
-preserved.
+pruned from the actions and kept aside in the compiled plan's
+``frames``, which only proof-coverage recording walks (the rewrite
+engine fires an equation on those cells too); cells with an unsealed
+dispatch are kept even when they never write, so the incompleteness
+error of the trace semantics is preserved.
 
 Grounding and closure compilation are two separate stages.
 :meth:`UpdatePlanner.ground` produces a :class:`SymbolicPlan` whose
@@ -158,6 +160,10 @@ class UpdatePlan:
             rejection witness).
         fallback: True when the equations fall outside the canonical
             fragment and applying must go through the rewrite engine.
+        frames: the pruned pure frame cells, with their dispatch lists
+            (identity entries, the last unconditional).  Applying
+            never reads them; coverage recording does, to name the
+            equation each one fires.
     """
 
     update: str
@@ -180,22 +186,33 @@ class UpdatePlan:
     precondition_reads: frozenset[Cell]
     precondition_text: str = ""
     fallback: bool = False
+    frames: tuple = ()
 
     @property
     def candidate_cells(self) -> tuple[Cell, ...]:
         """The cells this plan may write (superset of any delta)."""
         return tuple(cell for cell, _ in self.actions)
 
-    def fire_sets(self) -> dict[tuple[str, str], frozenset[int]]:
-        """The equations that *could* fire per ``(query, update)``
-        dispatch cell — the static counterpart of the coverage layer's
-        per-equation fire sets, used to key delta exploration."""
-        out: dict[tuple[str, str], set[int]] = {}
-        for (query, _values), entries in self.actions:
-            bucket = out.setdefault((query, self.update), set())
-            for _condition, _rhs, index in entries:
-                bucket.add(index)
-        return {key: frozenset(value) for key, value in out.items()}
+
+def _closures(symbolic):
+    """Project symbolic per-cell dispatch lists onto their closures:
+    ``(condition, rhs, equation index)`` per entry."""
+    return tuple(
+        (
+            cell,
+            tuple(
+                (
+                    entry.condition.closure
+                    if entry.condition is not None
+                    else None,
+                    entry.rhs.closure if entry.rhs is not None else None,
+                    entry.index,
+                )
+                for entry in entries
+            ),
+        )
+        for cell, entries in symbolic
+    )
 
 
 def _is_identity(lhs: App, rhs: Term) -> bool:
@@ -284,7 +301,7 @@ class UpdatePlanner:
         params = tuple(params)
         self.check_params(update, params)
         precondition = self._ground_precondition(update, params)
-        actions = self._ground_actions(update, params)
+        actions, _frames = self._ground_actions(update, params)
         return SymbolicPlan(update, params, actions, precondition)
 
     def compile(
@@ -299,7 +316,7 @@ class UpdatePlanner:
         pre_reads = pre.reads if pre is not None else frozenset()
         pre_text = str(pre.node) if pre is not None else ""
         try:
-            symbolic = self._ground_actions(update, params)
+            symbolic, frames = self._ground_actions(update, params)
         except UnsupportedTermError:
             return UpdatePlan(
                 update,
@@ -310,26 +327,14 @@ class UpdatePlanner:
                 pre_text,
                 fallback=True,
             )
-        actions = tuple(
-            (
-                cell,
-                tuple(
-                    (
-                        entry.condition.closure
-                        if entry.condition is not None
-                        else None,
-                        entry.rhs.closure
-                        if entry.rhs is not None
-                        else None,
-                        entry.index,
-                    )
-                    for entry in entries
-                ),
-            )
-            for cell, entries in symbolic
-        )
         return UpdatePlan(
-            update, params, actions, precondition, pre_reads, pre_text
+            update,
+            params,
+            _closures(symbolic),
+            precondition,
+            pre_reads,
+            pre_text,
+            frames=_closures(frames),
         )
 
     def _make_equals_hook(self):
@@ -375,7 +380,8 @@ class UpdatePlanner:
 
     def _ground_actions(self, update: str, params: tuple[str, ...]):
         """Ground every Q-equation of ``update`` at ``params`` into the
-        per-cell symbolic dispatch lists."""
+        per-cell symbolic dispatch lists: ``(actions, frames)``, the
+        pruned pure frame cells apart."""
         signature = self.signature
         per_cell: dict[Cell, list[GroundEntry]] = {}
         for query_symbol in signature.queries:
@@ -401,6 +407,7 @@ class UpdatePlanner:
             for values in itertools.product(*domains):
                 per_cell.setdefault((query_symbol.name, values), [])
         actions = []
+        frames = []
         for cell, entries in per_cell.items():
             live = []
             for entry in entries:
@@ -415,7 +422,9 @@ class UpdatePlanner:
             sealed = live and live[-1].condition is None
             if writes or not sealed:
                 actions.append((cell, tuple(live)))
-        return tuple(actions)
+            else:
+                frames.append((cell, tuple(live)))
+        return tuple(actions), tuple(frames)
 
     def _ground_equation(
         self,

@@ -55,7 +55,6 @@ from repro.algebraic.equations import ConditionalEquation
 from repro.algebraic.spec import AlgebraicSpec
 from repro.logic import formulas as fm
 from repro.logic.sorts import BOOLEAN, STATE
-from repro.logic.arena import KIND_APP, TermArena
 from repro.logic.substitution import (
     apply_to_formula,
     apply_to_term,
@@ -64,15 +63,6 @@ from repro.logic.substitution import (
 from repro.logic.terms import App, Term, Var
 
 __all__ = ["RewriteEngine", "Value"]
-
-#: Sentinel marking a (query, constructor) pair whose equations fall
-#: outside the arena-compilable fragment; the arena loop materializes
-#: the term and routes it through the object path instead.
-_ARENA_FALLBACK = object()
-
-
-class _ArenaUnsupported(Exception):
-    """An equation part is outside the arena-native fragment."""
 
 #: Evaluation results: parameter names are strings, Booleans are bools.
 Value = Hashable
@@ -227,18 +217,9 @@ class RewriteEngine:
         #: first compile (identity-keyed: ``equations_for`` returns
         #: the declaration objects themselves).
         self._equation_index: dict[int, int] | None = None
-        #: Packed-term arena (built on the first batch evaluation) and
-        #: its memo/dispatch tables: node id -> value, symbol id ->
-        #: handler closure, (query, constructor) -> compiled
-        #: integer-matcher table (or the object-path fallback marker).
-        self._arena: TermArena | None = None
-        self._acache: dict[int, Value] = {}
-        self._ahandlers: dict = {}
-        self._atables: dict = {}
-        #: Compiled observation programs per observations tuple,
-        #: keyed by id (the value keeps the tuple alive so ids are
-        #: stable); one arena-program list and one object-term list.
-        self._obs_programs: dict[int, tuple] = {}
+        #: Each observations tuple's query symbols and parameter
+        #: terms, keyed by id (the value keeps the tuple alive so ids
+        #: are stable).
         self._obs_terms: dict[int, tuple] = {}
         # Value constants per sort, prebuilt for quantifier expansion.
         self._domain_terms = {
@@ -261,10 +242,6 @@ class RewriteEngine:
         "_cache",
         "_dispatch",
         "_equation_tables",
-        "_acache",
-        "_ahandlers",
-        "_atables",
-        "_obs_programs",
         "_obs_terms",
     )
 
@@ -273,7 +250,6 @@ class RewriteEngine:
         for slot in self._COMPILED_SLOTS:
             state[slot] = {}
         state["_equation_index"] = None
-        state["_arena"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -295,22 +271,6 @@ class RewriteEngine:
         tracer = SWITCH.tracer
         if tracer is not None:
             tracer.count("rewrite.evaluate.calls")
-        coverage = SWITCH.coverage
-        if coverage is not None:
-            # Top-level dispatch-cell census: the multiset of these
-            # calls is exactly the workload, and each check runs in
-            # exactly one process — so summed per-cell counts are
-            # identical for every worker count.
-            if (
-                isinstance(term, App)
-                and term.args
-                and self.signature.is_query(term.symbol)
-            ):
-                state = term.args[-1]
-                if isinstance(state, App):
-                    coverage.record_dispatch(
-                        term.symbol.name, state.symbol.name
-                    )
         if term.sort == STATE:
             raise EvaluationError(
                 "terms of sort state are symbolic traces; only query/"
@@ -409,71 +369,10 @@ class RewriteEngine:
         trace: Term,
         observations: tuple[tuple[str, tuple[str, ...]], ...],
     ) -> list[Value]:
-        """Batch-evaluate observation cells ``(query, params)`` on one
-        ground trace through the packed term arena.
-
-        Semantically identical to calling :meth:`evaluate` on
-        ``q(params..., trace)`` per observation (same errors, same
-        fuel budget per cell, same coverage dispatch cells and fired
-        equations), but the hot loop runs on int node ids: the trace
-        is packed once, each cell is one arena application, and
-        dispatch/matching are integer comparisons.  Non-canonical
-        fragments fall back to the object path per term.
-        """
-        if (
-            self._state_oracle is not None
-            or not isinstance(trace, App)
-            or not trace.is_ground
-        ):
-            return self._evaluate_cells_objects(trace, observations)
-        arena = self._arena
-        if arena is None:
-            arena = self._arena = TermArena()
-        programs = self._obs_programs.get(id(observations))
-        if programs is None:
-            sig = self.signature
-            compiled = []
-            for name, params in observations:
-                symbol = sig.query(name)
-                arg_ids = tuple(
-                    arena.intern(sig.value(sort, value))
-                    for sort, value in zip(symbol.arg_sorts[:-1], params)
-                )
-                compiled.append((name, arena.symbol_id(symbol), arg_ids))
-            programs = (observations, tuple(compiled))
-            self._obs_programs[id(observations)] = programs
-        trace_id = arena.intern(trace)
-        constructor = trace.symbol.name
-        tracer = SWITCH.tracer
-        coverage = SWITCH.coverage
-        app = arena.app
-        eval_idx = self._eval_idx
-        fuel = self._fuel_limit
-        values: list[Value] = []
-        for name, qsid, arg_ids in programs[1]:
-            if tracer is not None:
-                tracer.count("rewrite.evaluate.calls")
-            if coverage is not None:
-                coverage.record_dispatch(name, constructor)
-            node = app(qsid, (*arg_ids, trace_id))
-            budget = [fuel]
-            try:
-                values.append(eval_idx(node, budget))
-            except RecursionError:
-                raise NonTerminationError(
-                    f"recursion limit reached while evaluating "
-                    f"{arena.term(node)}: the equation system appears "
-                    "circular"
-                ) from None
-        return values
-
-    def _evaluate_cells_objects(
-        self,
-        trace: Term,
-        observations: tuple[tuple[str, tuple[str, ...]], ...],
-    ) -> list[Value]:
-        """Object-path batch evaluation (oracle engines, non-ground or
-        exotic traces): plain :meth:`evaluate` per observation."""
+        """Evaluate observation cells ``(query, params)`` on one trace:
+        :meth:`evaluate` on ``q(params..., trace)`` per observation, in
+        order, with each cell's query symbol and parameter terms built
+        once per observations tuple."""
         terms = self._obs_terms.get(id(observations))
         if terms is None:
             sig = self.signature
@@ -493,18 +392,14 @@ class RewriteEngine:
         ]
 
     def clear_cache(self) -> None:
-        """Drop all memoized results (object and arena memos).
+        """Drop all memoized results.
 
         The compiled dispatch tables survive (they depend only on the
-        specification); dropping the memos also releases the engine's
-        strong references to cached ground terms — including the
-        arena's object views — allowing retired terms to leave the
-        intern table.
+        specification); dropping the memo also releases the engine's
+        strong references to cached ground terms, allowing retired
+        terms to leave the intern table.
         """
         self._cache.clear()
-        self._acache.clear()
-        if self._arena is not None:
-            self._arena.release_views()
 
     @property
     def cache_size(self) -> int:
@@ -704,423 +599,6 @@ class RewriteEngine:
             f"{term.symbol.name!r} on constructor {constructor!r}): the "
             "specification is not sufficiently complete"
         )
-
-    # ------------------------------------------------------------------
-    # arena-native evaluation (int node ids instead of boxed terms)
-    # ------------------------------------------------------------------
-    def _eval_idx(self, node: int, budget: list[int]) -> Value:
-        if self._memoize:
-            cached = self._acache.get(node, self._MISSING)
-            if cached is not self._MISSING:
-                self.cache_hits += 1
-                return cached
-            self.cache_misses += 1
-        sid = self._arena.sym_of(node)
-        handler = self._ahandlers.get(sid)
-        if handler is None:
-            handler = self._build_arena_handler(sid)
-            self._ahandlers[sid] = handler
-        else:
-            self.dispatch_hits += 1
-        result = handler(node, budget)
-        if self._memoize:
-            self._acache[node] = result
-        return result
-
-    def _build_arena_handler(self, sid: int):
-        """Classify an arena symbol once into an evaluation closure —
-        the packed mirror of :meth:`_build_handler`."""
-        arena = self._arena
-        symbol = arena.symbol(sid)
-        if isinstance(symbol, Var):
-            def unbound(node: int, budget: list[int]) -> Value:
-                raise EvaluationError(
-                    f"unbound variable {arena.term(node)} in evaluation"
-                )
-
-            return unbound
-        sig = self.signature
-        name = symbol.name
-        if symbol.result_sort == BOOLEAN and name in ("True", "False"):
-            constant = name == "True"
-            return lambda node, budget: constant
-
-        if sig.is_connective(symbol):
-            return self._arena_connective(name)
-
-        if sig.is_equality_test(symbol):
-            def equality(node: int, budget: list[int]) -> bool:
-                left, right = arena.children(node)
-                return self._eval_idx(left, budget) == self._eval_idx(
-                    right, budget
-                )
-
-            return equality
-
-        interp = sig.interpretation(name)
-        if interp is not None:
-            def interpreted(node: int, budget: list[int]) -> Value:
-                return interp(
-                    *[
-                        self._eval_idx(child, budget)
-                        for child in arena.children(node)
-                    ]
-                )
-
-            return interpreted
-
-        if symbol.is_constant and symbol.result_sort != STATE:
-            return lambda node, budget: name
-
-        if sig.is_query(symbol):
-            def query_handler(node: int, budget: list[int]) -> Value:
-                return self._eval_query_idx(name, node, budget)
-
-            return query_handler
-
-        def unsupported(node: int, budget: list[int]) -> Value:
-            term = arena.term(node)
-            raise EvaluationError(
-                f"cannot evaluate {term}: {term.symbol.name} is neither "
-                "a connective, equality test, interpreted function, "
-                "parameter name, nor query"
-            )
-
-        return unsupported
-
-    def _arena_connective(self, name: str):
-        arena = self._arena
-        eval_idx = self._eval_idx
-        if name == "not":
-            return lambda node, budget: not eval_idx(
-                arena.children(node)[0], budget
-            )
-        if name == "and":
-            def conj(node: int, budget: list[int]) -> bool:
-                left, right = arena.children(node)
-                return bool(eval_idx(left, budget)) and bool(
-                    eval_idx(right, budget)
-                )
-
-            return conj
-        if name == "or":
-            def disj(node: int, budget: list[int]) -> bool:
-                left, right = arena.children(node)
-                return bool(eval_idx(left, budget)) or bool(
-                    eval_idx(right, budget)
-                )
-
-            return disj
-        if name == "implies":
-            def impl(node: int, budget: list[int]) -> bool:
-                left, right = arena.children(node)
-                return (not eval_idx(left, budget)) or bool(
-                    eval_idx(right, budget)
-                )
-
-            return impl
-        if name == "iff":
-            def iff(node: int, budget: list[int]) -> bool:
-                left, right = arena.children(node)
-                return bool(eval_idx(left, budget)) == bool(
-                    eval_idx(right, budget)
-                )
-
-            return iff
-
-        def unknown(node: int, budget: list[int]) -> bool:
-            raise EvaluationError(f"unknown connective {name!r}")
-
-        return unknown
-
-    def _eval_query_idx(
-        self, qname: str, node: int, budget: list[int]
-    ) -> Value:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise NonTerminationError(
-                f"fuel exhausted while evaluating "
-                f"{self._arena.term(node)}: the equation system appears "
-                "circular (sufficient completeness fails)"
-            )
-        arena = self._arena
-        children = arena.children(node)
-        state = children[-1]
-        if arena.kind(state) != KIND_APP:
-            raise EvaluationError(
-                f"query {arena.term(node)} applied to a non-ground state"
-            )
-        constructor = arena.symbol(arena.sym_of(state)).name
-        table = self._arena_table(qname, constructor)
-        if table is _ARENA_FALLBACK:
-            return self._eval(arena.term(node), budget)
-        args = children[:-1]
-        state_args = arena.children(state)
-        for matcher, condition, rhs, eq_index in table:
-            bind = matcher(args, state_args)
-            if bind is None:
-                continue
-            if condition is not None and not condition(bind, budget):
-                continue
-            self.rewrite_steps += 1
-            coverage = SWITCH.coverage
-            if coverage is not None:
-                # Same union-invariance argument as the object path:
-                # arena memo misses are exactly the needed nodes.
-                coverage.record_fire(qname, constructor, eq_index)
-            return rhs(bind, budget)
-        raise IncompletenessError(
-            f"no equation applies to {arena.term(node)} (query "
-            f"{qname!r} on constructor {constructor!r}): the "
-            "specification is not sufficiently complete"
-        )
-
-    def _arena_table(self, query: str, constructor: str):
-        """The arena-compiled equation table for a (query, constructor)
-        pair, or :data:`_ARENA_FALLBACK` when any of its equations is
-        outside the integer-matchable fragment."""
-        key = (query, constructor)
-        table = self._atables.get(key)
-        if table is not None:
-            self.dispatch_hits += 1
-            return table
-        try:
-            table = tuple(
-                self._compile_arena_equation(equation)
-                for equation in self.spec.equations_for(query, constructor)
-            )
-        except _ArenaUnsupported:
-            table = _ARENA_FALLBACK
-        self._atables[key] = table
-        return table
-
-    def _compile_arena_equation(self, equation: ConditionalEquation):
-        """Compile one canonical equation into ``(matcher, condition,
-        rhs, index)`` over packed node ids.
-
-        The matcher binds pattern variables positionally into a flat
-        ``bind`` tuple of node ids; condition and rhs are closed
-        programs over ``(bind, budget)``.  Anything non-canonical
-        raises :class:`_ArenaUnsupported` (whole-table fallback).
-        """
-        lhs = equation.lhs
-        if not isinstance(lhs, App):
-            raise _ArenaUnsupported
-        state_pat = lhs.args[-1] if lhs.args else None
-        if not isinstance(state_pat, App):
-            raise _ArenaUnsupported
-
-        arena = self._arena
-        binds: list[tuple[bool, int]] = []
-        consts: list[tuple[bool, int, int]] = []
-        same: list[tuple[bool, int, bool, int]] = []
-        slots: dict[Var, int] = {}
-
-        def visit(pattern: Term, in_state: bool, index: int) -> None:
-            if isinstance(pattern, Var):
-                if pattern in slots:
-                    prev_state, prev_index = binds[slots[pattern]]
-                    same.append((prev_state, prev_index, in_state, index))
-                else:
-                    slots[pattern] = len(binds)
-                    binds.append((in_state, index))
-                return
-            if isinstance(pattern, App) and not pattern.args:
-                consts.append((in_state, index, arena.intern(pattern)))
-                return
-            raise _ArenaUnsupported
-
-        for i, arg in enumerate(lhs.args[:-1]):
-            visit(arg, False, i)
-        for j, arg in enumerate(state_pat.args):
-            visit(arg, True, j)
-
-        consts_t = tuple(consts)
-        same_t = tuple(same)
-        binds_t = tuple(binds)
-
-        def matcher(args, state_args):
-            for in_state, index, expected in consts_t:
-                actual = state_args[index] if in_state else args[index]
-                if actual != expected:
-                    return None
-            for a_state, a_index, b_state, b_index in same_t:
-                first = state_args[a_index] if a_state else args[a_index]
-                second = state_args[b_index] if b_state else args[b_index]
-                if first != second:
-                    return None
-            return tuple(
-                state_args[index] if in_state else args[index]
-                for in_state, index in binds_t
-            )
-
-        condition = None
-        if equation.condition is not None:
-            condition = self._compile_arena_formula(
-                equation.condition, dict(slots), len(binds)
-            )
-        rhs = self._compile_arena_value(equation.rhs, slots, len(binds))
-        return matcher, condition, rhs, self._index_of(equation)
-
-    def _compile_arena_index(
-        self, term: Term, slots: dict[Var, int]
-    ):
-        """A program producing the arena node id of ``term`` under a
-        bind tuple: a bound variable reads its slot, a ground term is
-        interned once at compile time."""
-        if isinstance(term, Var):
-            slot = slots.get(term)
-            if slot is None:
-                raise _ArenaUnsupported
-            return lambda bind: bind[slot]
-        if term.is_ground:
-            node = self._arena.intern(term)
-            return lambda bind: node
-        raise _ArenaUnsupported
-
-    def _compile_arena_value(
-        self, term: Term, slots: dict[Var, int], depth: int
-    ):
-        """A value program ``(bind, budget) -> Value`` mirroring the
-        object handlers over packed ids."""
-        eval_idx = self._eval_idx
-        if isinstance(term, Var):
-            if term.sort == STATE:
-                raise _ArenaUnsupported
-            slot = slots.get(term)
-            if slot is None:
-                raise _ArenaUnsupported
-            return lambda bind, budget: eval_idx(bind[slot], budget)
-        if not isinstance(term, App):
-            raise _ArenaUnsupported
-        symbol = term.symbol
-        sig = self.signature
-        name = symbol.name
-        if symbol.result_sort == BOOLEAN and name in ("True", "False"):
-            constant = name == "True"
-            return lambda bind, budget: constant
-        if sig.is_connective(symbol):
-            if name == "not":
-                body = self._compile_arena_value(
-                    term.args[0], slots, depth
-                )
-                return lambda bind, budget: not body(bind, budget)
-            left = self._compile_arena_value(term.args[0], slots, depth)
-            right = self._compile_arena_value(term.args[1], slots, depth)
-            if name == "and":
-                return lambda bind, budget: bool(
-                    left(bind, budget)
-                ) and bool(right(bind, budget))
-            if name == "or":
-                return lambda bind, budget: bool(
-                    left(bind, budget)
-                ) or bool(right(bind, budget))
-            if name == "implies":
-                return lambda bind, budget: (
-                    not left(bind, budget)
-                ) or bool(right(bind, budget))
-            if name == "iff":
-                return lambda bind, budget: bool(
-                    left(bind, budget)
-                ) == bool(right(bind, budget))
-            raise _ArenaUnsupported
-        if sig.is_equality_test(symbol):
-            left = self._compile_arena_value(term.args[0], slots, depth)
-            right = self._compile_arena_value(term.args[1], slots, depth)
-            return lambda bind, budget: left(bind, budget) == right(
-                bind, budget
-            )
-        interp = sig.interpretation(name)
-        if interp is not None:
-            parts = tuple(
-                self._compile_arena_value(arg, slots, depth)
-                for arg in term.args
-            )
-            return lambda bind, budget: interp(
-                *[part(bind, budget) for part in parts]
-            )
-        if symbol.is_constant and symbol.result_sort != STATE:
-            return lambda bind, budget: name
-        if sig.is_query(symbol):
-            arg_programs = tuple(
-                self._compile_arena_index(arg, slots)
-                for arg in term.args
-            )
-            qsid = self._arena.symbol_id(symbol)
-            app = self._arena.app
-
-            def query_value(bind, budget):
-                return eval_idx(
-                    app(
-                        qsid,
-                        tuple(
-                            program(bind) for program in arg_programs
-                        ),
-                    ),
-                    budget,
-                )
-
-            return query_value
-        raise _ArenaUnsupported
-
-    def _compile_arena_formula(
-        self, formula: fm.Formula, slots: dict[Var, int], depth: int
-    ):
-        """A condition program ``(bind, budget) -> bool`` mirroring
-        :meth:`_holds`; quantifiers unroll over pre-interned domain
-        value nodes, extending the bind tuple by one slot."""
-        if isinstance(formula, fm.TrueF):
-            return lambda bind, budget: True
-        if isinstance(formula, fm.FalseF):
-            return lambda bind, budget: False
-        if isinstance(formula, fm.Equals):
-            left = self._compile_arena_value(formula.lhs, slots, depth)
-            right = self._compile_arena_value(formula.rhs, slots, depth)
-            return lambda bind, budget: left(bind, budget) == right(
-                bind, budget
-            )
-        if isinstance(formula, fm.Not):
-            body = self._compile_arena_formula(formula.body, slots, depth)
-            return lambda bind, budget: not body(bind, budget)
-        if isinstance(formula, (fm.And, fm.Or, fm.Implies, fm.Iff)):
-            left = self._compile_arena_formula(formula.lhs, slots, depth)
-            right = self._compile_arena_formula(formula.rhs, slots, depth)
-            if isinstance(formula, fm.And):
-                return lambda bind, budget: left(bind, budget) and right(
-                    bind, budget
-                )
-            if isinstance(formula, fm.Or):
-                return lambda bind, budget: left(bind, budget) or right(
-                    bind, budget
-                )
-            if isinstance(formula, fm.Implies):
-                return lambda bind, budget: (
-                    not left(bind, budget)
-                ) or right(bind, budget)
-            return lambda bind, budget: left(bind, budget) == right(
-                bind, budget
-            )
-        if isinstance(formula, (fm.Forall, fm.Exists)):
-            var = formula.var
-            try:
-                domain = self._domain_terms[var.sort]
-            except KeyError:
-                raise _ArenaUnsupported from None
-            arena = self._arena
-            instances = tuple(arena.intern(value) for value in domain)
-            inner = dict(slots)
-            inner[var] = depth
-            body = self._compile_arena_formula(
-                formula.body, inner, depth + 1
-            )
-            if isinstance(formula, fm.Forall):
-                return lambda bind, budget: all(
-                    body((*bind, value), budget) for value in instances
-                )
-            return lambda bind, budget: any(
-                body((*bind, value), budget) for value in instances
-            )
-        raise _ArenaUnsupported
 
     # ------------------------------------------------------------------
     # condition evaluation

@@ -51,9 +51,11 @@ even at ``fuel=1``), it nests no deeper than its parent's memo hits,
 and a dispatch that runs out, or a closure that raises, makes the
 build fall back instead.
 
-While coverage records, or when the algebra is not ``packed``, no
-table is built: each reader runs its own reference loop, so coverage
-payloads are exactly those of the standalone checks.
+When the algebra is not ``packed``, no table is built: each reader
+runs its own reference loop.  While coverage records, the plans
+record the equation each cell fires
+(:meth:`~repro.algebraic.exploration.PackedExplorer.applier`): by the
+proof above, the equations the reference would fire.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ from repro.algebraic.rewriting import Value
 from repro.errors import ReproError
 from repro.logic.terms import App, Term
 from repro.obs.stats import counter_delta, engine_counters
-from repro.obs.switch import SWITCH
 from repro.obs.tracer import count as _count, record as _record
 
 __all__ = ["Row", "TraceTable", "build_trace_table", "evaluate_rows"]
@@ -135,10 +136,10 @@ def build_trace_table(
     plans where the fragment allows, else by the reference.
 
     The rewrite work and the traces built (``items``) are counted on
-    the active span.  Returns ``None``, evaluating nothing, while
-    coverage records or when the algebra is not ``packed``.
+    the active span.  Returns ``None``, evaluating nothing, when the
+    algebra is not ``packed``.
     """
-    if SWITCH.coverage is not None or not algebra.packed:
+    if not algebra.packed:
         return None
     before = engine_counters(algebra.engine)
     built = _by_plans(algebra, depth)
@@ -192,7 +193,7 @@ def _apply_plans(algebra: TraceAlgebra, explorer, depth: int):
     row."""
     cells = explorer.cells
     instances = explorer.instances
-    apply_instance = explorer.apply_instance
+    apply_instance = explorer.applier()
     traces: list[Term] = [algebra.initial_trace()]
     rows: list[tuple] = [explorer.initial_row()]
     applied: dict[tuple, tuple[tuple, ...]] = {}
@@ -209,7 +210,7 @@ def _apply_plans(algebra: TraceAlgebra, explorer, depth: int):
                     for instance in instances
                 )
             parent = traces[index]
-            for _update, _params, symbol, arg_terms, _ in instances:
+            for _update, _params, symbol, arg_terms, *_ in instances:
                 traces.append(App(symbol, (*arg_terms, parent)))
             rows.extend(children)
         start = end

@@ -29,7 +29,6 @@ import time
 from typing import Callable
 
 from repro.core.framework import DesignFramework
-from repro.logic.arena import arena_stats
 from repro.logic.terms import intern_stats, intern_table_size
 
 __all__ = ["main", "APPLICATIONS"]
@@ -320,14 +319,11 @@ def _run_verify(args: argparse.Namespace) -> int:
                     print(f"  {part}")
                 print(f"  {stats}")
                 kernel = intern_stats()
-                arena = arena_stats()
                 print(
                     f"  [kernel] intern_table={intern_table_size()} "
                     f"(vars={kernel['vars']} apps={kernel['apps']}) "
                     f"dispatch_hits={stats.dispatch_hits} "
-                    f"interned_during_run={stats.interned_terms} "
-                    f"arena_terms={arena['terms']} "
-                    f"arena_bytes={arena['bytes']}"
+                    f"interned_during_run={stats.interned_terms}"
                 )
             stats_bundles.append(
                 {"application": name, **stats.to_dict()}

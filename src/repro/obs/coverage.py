@@ -3,9 +3,11 @@
 A green report says every check passed; this module records what the
 checks actually visited, so a pass can be audited for vacuity:
 
-* **Equation dispatch cells** — the rewrite engine reports, per
-  ``(query, constructor)`` pair, how often a top-level evaluation
-  dispatched into the cell and which equations fired inside it.  The
+* **Equation dispatch cells** — per ``(query, constructor)`` pair,
+  which equations fired inside the cell: the rewrite engine reports
+  the equations it fires, and the compiled update plans report the
+  dispatch entry each cell takes
+  (:meth:`~repro.algebraic.exploration.PackedExplorer.applier`).  The
   universe of cells is ``queries × (updates ∪ initials)``; a cell with
   no equation is a *sufficient-completeness hole* (Section 4.4a), and
   a cell whose equations never fired is dead weight the bounded sweeps
@@ -32,8 +34,6 @@ worker count and under cache warmth, by construction:
   needed terms, and need distributes over workload unions), while raw
   per-engine fire *counts* would not (forked memos overlap) — so
   counts of equation firings are deliberately **not** exported;
-* top-level dispatch counts are sums over the exact workload
-  partition, hence partition-invariant;
 * the census is computed from the
   :class:`~repro.algebraic.algebra.StateGraph`, which is identical at
   every worker count;
@@ -73,8 +73,6 @@ class CoverageRecorder:
     worker chunk).
 
     Attributes:
-        dispatch: top-level evaluation counts per ``(query,
-            constructor)`` cell (partition-invariant).
         hyperrules: W-grammar rule-application counts by rule label.
         metanotions: membership-query counts by metanotion name.
         explore: the state-graph census of the run's exploration, or
@@ -87,7 +85,6 @@ class CoverageRecorder:
     """
 
     __slots__ = (
-        "dispatch",
         "_fired",
         "_fired_u",
         "hyperrules",
@@ -96,7 +93,6 @@ class CoverageRecorder:
     )
 
     def __init__(self) -> None:
-        self.dispatch: dict[tuple[str, str], int] = {}
         self._fired: dict[tuple[str, str], set[int]] = {}
         self._fired_u: dict[str, set[int]] = {}
         self.hyperrules: dict[str, int] = {}
@@ -116,8 +112,7 @@ class CoverageRecorder:
 
     def fire_sets(self) -> dict[tuple[str, str], frozenset[int]]:
         """Every non-empty per-cell Q-equation fire set, as an
-        immutable copy (the interface the delta explorer and external
-        tools consume)."""
+        immutable copy."""
         return {
             cell: frozenset(indices)
             for cell, indices in self._fired.items()
@@ -138,12 +133,6 @@ class CoverageRecorder:
     # ------------------------------------------------------------------
     # recording (hot paths; called only while coverage is on)
     # ------------------------------------------------------------------
-    def record_dispatch(self, query: str, constructor: str) -> None:
-        """Count one top-level evaluation entering a dispatch cell."""
-        key = (query, constructor)
-        dispatch = self.dispatch
-        dispatch[key] = dispatch.get(key, 0) + 1
-
     def record_fire(
         self, query: str, constructor: str, index: int
     ) -> None:
@@ -182,8 +171,6 @@ class CoverageRecorder:
     # ------------------------------------------------------------------
     def merge(self, other: "CoverageRecorder") -> None:
         """Fold another recorder in (sum counts, union sets)."""
-        for key, value in other.dispatch.items():
-            self.dispatch[key] = self.dispatch.get(key, 0) + value
         for key, indices in other._fired.items():
             self._fired.setdefault(key, set()).update(indices)
         for name, indices in other._fired_u.items():
@@ -206,10 +193,6 @@ class CoverageRecorder:
         """A JSON-portable rendering (sets become sorted lists; cell
         keys become ``"query|constructor"`` strings)."""
         return {
-            "dispatch": {
-                _CELL_SEP.join(key): value
-                for key, value in sorted(self.dispatch.items())
-            },
             "fired": {
                 _CELL_SEP.join(key): sorted(indices)
                 for key, indices in sorted(self._fired.items())
@@ -227,9 +210,6 @@ class CoverageRecorder:
     def from_payload(cls, payload: Mapping[str, Any]) -> "CoverageRecorder":
         """Rebuild a recorder serialized by :meth:`to_payload`."""
         recorder = cls()
-        for key, value in payload.get("dispatch", {}).items():
-            query, _, constructor = key.partition(_CELL_SEP)
-            recorder.dispatch[(query, constructor)] = int(value)
         for key, indices in payload.get("fired", {}).items():
             query, _, constructor = key.partition(_CELL_SEP)
             recorder._fired[(query, constructor)] = {
@@ -249,8 +229,7 @@ class CoverageRecorder:
     def is_empty(self) -> bool:
         """True iff nothing has been recorded yet."""
         return not (
-            self.dispatch
-            or self._fired
+            self._fired
             or self._fired_u
             or self.hyperrules
             or self.metanotions
@@ -370,34 +349,22 @@ def coverage_document(
                     "query": query,
                     "constructor": constructor,
                     "status": status,
-                    "dispatches": recorder.dispatch.get(
-                        (query, constructor), 0
-                    ),
                     "equations": entries,
                 }
             )
 
+    fired_q = set().union(*recorder.fire_sets().values())
+    fired_u = set().union(*recorder.u_fire_sets().values())
     equations = []
     for index, equation in enumerate(spec.equations):
-        if equation.is_q_equation:
-            kind = "Q"
-            fired_flag = any(
-                index in indices
-                for indices in recorder.fire_sets().values()
-            )
-        else:
-            kind = "U"
-            fired_flag = any(
-                index in indices
-                for indices in recorder.u_fire_sets().values()
-            )
+        q = equation.is_q_equation
         equations.append(
             {
                 "index": index,
-                "kind": kind,
+                "kind": "Q" if q else "U",
                 "label": equation.label,
                 "rule": equation.describe(),
-                "fired": fired_flag,
+                "fired": index in (fired_q if q else fired_u),
             }
         )
 
@@ -429,7 +396,7 @@ def coverage_document(
         )
 
     document: dict[str, Any] = {
-        "format": 1,
+        "format": 2,
         "application": application,
         "params": dict(sorted((params or {}).items())),
         "rewrite": rewrite,
@@ -471,12 +438,10 @@ def invariant_payload(payload: Mapping[str, Any]) -> dict:
     Per-check fired-equation sets depend on rewrite-memo warmth at the
     moment the check starts, and memo state evolves differently under
     serial and forked execution — only their union over the whole run
-    is invariant.  Per-check dispatch counts, the census, and the
-    W-grammar usage are exact for any partition, so provenance records
-    digest this projection.
+    is invariant.  The census and the W-grammar usage are exact for
+    any partition, so provenance records digest this projection.
     """
     return {
-        "dispatch": payload.get("dispatch", {}),
         "hyperrules": payload.get("hyperrules", {}),
         "metanotions": payload.get("metanotions", {}),
         "explore": payload.get("explore"),

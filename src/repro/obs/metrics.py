@@ -15,7 +15,6 @@ CLI flag have a single flat, stable schema to emit:
 ``verify.wall_time``         summed per-check wall seconds (gauge)
 ``verify.workers``           the requested worker count (gauge)
 ``kernel.intern_table.*``    live intern-table sizes (gauges)
-``kernel.arena.*``           packed term-arena sizes (gauges)
 ============================ =======================================
 
 Span counters merge in through :meth:`MetricsRegistry.merge_tracer`;
@@ -125,18 +124,13 @@ class MetricsRegistry:
         )
 
     def record_kernel(self) -> None:
-        """Gauge the live term-kernel intern tables and the packed
-        term arenas."""
-        from repro.logic.arena import arena_stats
+        """Gauge the live term-kernel intern tables."""
         from repro.logic.terms import intern_stats, intern_table_size
 
         detail = intern_stats()
         self.set_gauge("kernel.intern_table.size", intern_table_size())
         self.set_gauge("kernel.intern_table.vars", detail["vars"])
         self.set_gauge("kernel.intern_table.apps", detail["apps"])
-        arena = arena_stats()
-        self.set_gauge("kernel.arena.terms", arena["terms"])
-        self.set_gauge("kernel.arena.bytes", arena["bytes"])
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:

@@ -74,10 +74,7 @@ def _cell_matrix(rewrite: Mapping[str, Any]) -> str:
                 fired = sum(
                     1 for entry in cell["equations"] if entry["fired"]
                 )
-                text = (
-                    f"{fired}/{len(cell['equations'])} eq &middot; "
-                    f"{cell['dispatches']} disp"
-                )
+                text = f"{fired}/{len(cell['equations'])} eq"
             title = f"{escape(query)}({escape(constructor)}): {status}"
             tds.append(
                 f'<td class="{status}" title="{title}">{text}</td>'

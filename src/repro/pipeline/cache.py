@@ -45,8 +45,10 @@ __all__ = ["ResultCache", "serialize_result", "deserialize_result"]
 #: stale files stop matching instead of deserializing wrongly.
 #: Format 2 added the per-check ``coverage`` payload; format 3 dropped
 #: the ``stats`` records (a replay reads its record off ``counters``
-#: and ``wall_time``).
-CACHE_FORMAT = 3
+#: and ``wall_time``); format 4 dropped the coverage payload's
+#: per-cell ``dispatch`` counts and stores a skipped grammar check as
+#: ``{"skipped": true}``, so it replays as skipped.
+CACHE_FORMAT = 4
 
 
 # ---------------------------------------------------------------------
@@ -111,6 +113,8 @@ def serialize_result(kind: str, result: Any) -> dict | None:
             "traces_checked": result.traces_checked,
         }
     if kind == "grammar":
+        if result is None:
+            return {"skipped": True}
         return {"grammar_ok": result}
     if kind in ("second-third", "agreement"):
         if result.failures:
@@ -169,6 +173,8 @@ def deserialize_result(kind: str, payload: dict) -> Any:
             traces_checked=payload["traces_checked"],
         )
     if kind == "grammar":
+        if payload.get("skipped"):
+            return None
         return payload["grammar_ok"]
     if kind in ("second-third", "agreement"):
         return SecondToThirdReport(

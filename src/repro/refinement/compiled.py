@@ -46,7 +46,6 @@ from repro.logic import formulas as fm
 from repro.logic.sorts import Sort
 from repro.logic.structures import Structure
 from repro.logic.terms import App, Term, Var
-from repro.obs.switch import SWITCH
 from repro.refinement.interpretation import Interpretation
 from repro.temporal.formulas import Necessarily, Possibly, is_modal
 
@@ -83,12 +82,14 @@ _CONNECTIVES = {
 T = TypeVar("T")
 
 
-def compile_or_fallback(build: Callable[[], T]) -> tuple[T | None, str | None]:
+def compile_or_fallback(
+    algebra: TraceAlgebra, build: Callable[[], T]
+) -> tuple[T | None, str | None]:
     """``(build(), None)``, or ``None`` and the reason the check takes
-    its reference path: ``coverage`` while coverage records (fire sets
-    must come from the rewrite engine) or ``outside_fragment``."""
-    if SWITCH.coverage is not None:
-        return None, "coverage"
+    its reference path: ``disabled`` when ``algebra`` is not
+    ``packed``, or ``outside_fragment``."""
+    if not algebra.packed:
+        return None, "disabled"
     try:
         return build(), None
     except UnsupportedTermError:

@@ -23,8 +23,8 @@ reachability predicate F.
 instances of I, and each constraint over its extensions.  Realizing
 each state as a level-1 :class:`~repro.logic.structures.Structure` and
 deciding the generic satisfaction relation stays the reference path,
-taken while coverage records and when the constraints fall outside the
-compilable fragment.
+taken when the algebra is not ``packed`` and when the constraints fall
+outside the compilable fragment.
 """
 
 from __future__ import annotations
@@ -97,10 +97,11 @@ def _compile_states(
     """``(structure map, constraints)`` of one check, or ``None`` and
     the reason the check takes its reference path instead."""
     return compile_or_fallback(
+        algebra,
         lambda: (
             StructureMap(information, carriers, algebra, interpretation),
             compile_constraints(information, carriers),
-        )
+        ),
     )
 
 

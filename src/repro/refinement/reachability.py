@@ -142,7 +142,8 @@ def _reachable(
         graph = algebra.explore()
     before = engine_counters(algebra.engine)
     structure_map, fallback = compile_or_fallback(
-        lambda: StructureMap(information, carriers, algebra, interpretation)
+        algebra,
+        lambda: StructureMap(information, carriers, algebra, interpretation),
     )
     out: dict[Structure, Term] = {}
     for snapshot, trace in graph.states.items():

@@ -49,7 +49,6 @@ from repro.algebraic.tracetable import TraceTable, evaluate_rows
 from repro.logic import formulas as fm
 from repro.logic.sorts import BOOLEAN, STATE, Sort
 from repro.logic.terms import App, Term, Var
-from repro.obs.switch import SWITCH
 from repro.obs.tracer import count as _count, span as _span
 from repro.rpr.ast import Schema, is_deterministic
 from repro.rpr.semantics import (
@@ -1136,22 +1135,17 @@ def check_agreement(
     A trace's level-2 observations are the row of the shared ``table``
     when one was built on ``algebra``, else one
     :meth:`~repro.algebraic.rewriting.RewriteEngine.evaluate_cells`
-    batch of its own on the engine's term arena.  The
-    reference, one :meth:`TraceAlgebra.query` per cell, redoes a trace
-    whose batch raised, and runs every trace while coverage records or
-    when the algebra is not ``packed``.
+    batch of its own.  The reference, one :meth:`TraceAlgebra.query`
+    per cell, redoes a trace whose batch raised, and runs every trace
+    when the algebra is not ``packed`` (counted as
+    ``agreement.fallback.disabled``).
     """
     if rep_map is None:
         rep_map = RepresentationMap.homonym(algebra.signature, schema)
     induced = InducedStructure(algebra.signature, schema, rep_map)
     observations = algebra.observations
-    fallback = (
-        "disabled"
-        if not algebra.packed
-        else "coverage" if SWITCH.coverage is not None else None
-    )
-    if fallback is not None:
-        _count(f"agreement.fallback.{fallback}")
+    if not algebra.packed:
+        _count("agreement.fallback.disabled")
         entries = ((trace, None) for trace in algebra.traces(depth))
     else:
         entries = None if table is None else table.entries(algebra, depth)
@@ -1164,7 +1158,7 @@ def check_agreement(
         states += 1
         sid = induced._trace_id(trace)
         db_state = induced._states[sid]
-        if values is None and fallback is None:
+        if values is None and algebra.packed:
             _count("agreement.cell_fallbacks")
         for index, (name, params) in enumerate(observations):
             instances += 1

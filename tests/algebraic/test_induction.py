@@ -32,7 +32,6 @@ from repro.applications.courses import (
 )
 from repro.refinement.compiled import StructureMap
 from repro.refinement.first_second import prove_static_consistency
-from repro.refinement.interpretation import Interpretation
 from tests.algebraic.test_packed_explorer import _incomplete_spec
 from tests.applications.test_mutations import MUTANTS
 
@@ -350,17 +349,16 @@ class TestOncePerState:
     def test_invariant_once_per_snapshot_projects_coverage(
         self, monkeypatch
     ):
-        # Under coverage the invariant takes the reference path.
+        # Under coverage the invariant stays compiled and the step
+        # still applies plans; without packing both take the reference.
         seen = []
-        original = Interpretation.structure_of_snapshot
+        original = StructureMap.extensions
 
-        def counting(self, information, carriers, spec, snapshot):
+        def counting(self, snapshot):
             seen.append(snapshot)
-            return original(self, information, carriers, spec, snapshot)
+            return original(self, snapshot)
 
-        monkeypatch.setattr(
-            Interpretation, "structure_of_snapshot", counting
-        )
+        monkeypatch.setattr(StructureMap, "extensions", counting)
         with obs.activate(coverage=obs.CoverageRecorder()):
             report, counters = _traced(
                 lambda: _prove_app_static("projects")
@@ -368,7 +366,17 @@ class TestOncePerState:
         assert report.ok
         assert len(seen) == len(set(seen)) == 512
         assert counters["induction.invariant_evals"] == 512
-        assert counters["induction.invariant_fallback.coverage"] == 1
+        assert counters["induction.packed_steps"] == 3300
+        assert not any("fallback" in name for name in counters)
+        seen.clear()
+        report, counters = _traced(
+            lambda: _prove_app_static("projects", packed=False)
+        )
+        assert report.ok
+        assert seen == []
+        assert counters["induction.invariant_evals"] == 512
+        assert counters["induction.invariant_fallback.disabled"] == 1
+        assert counters["induction.fallback.disabled"] == 1
 
 
 class TestObjectStepFallback:
@@ -426,16 +434,25 @@ class TestObjectStepFallback:
             prove_invariant(TraceAlgebra(spec), _static_ok)
 
     def test_coverage_takes_object_step(self, spec):
-        recorder = obs.CoverageRecorder()
-        with obs.activate(coverage=recorder):
-            report, counters = _traced(
-                lambda: prove_invariant(TraceAlgebra(spec), _static_ok)
-            )
-        _assert_same_report(
-            report, prove_invariant(TraceAlgebra(spec), _static_ok)
-        )
-        assert counters["induction.fallback.coverage"] == 1
-        assert counters["induction.object_steps"] == 400
-        assert counters["induction.packed_steps"] == 0
-        # The step's dispatch came from the rewrite engine.
-        assert recorder.dispatch
+        # Only an unpacked algebra takes the object step; under
+        # coverage the plan step records what the object step fires.
+        def recorded(packed):
+            recorder = obs.CoverageRecorder()
+            with obs.activate(coverage=recorder):
+                report, counters = _traced(
+                    lambda: prove_invariant(
+                        TraceAlgebra(spec, packed=packed), _static_ok
+                    )
+                )
+            return report, counters, recorder
+
+        report, counters, plans = recorded(True)
+        reference, reference_counters, rewriting = recorded(False)
+        _assert_same_report(report, reference)
+        assert counters["induction.packed_steps"] == 400
+        assert counters["induction.object_steps"] == 0
+        assert not any("fallback" in name for name in counters)
+        assert reference_counters["induction.fallback.disabled"] == 1
+        assert reference_counters["induction.object_steps"] == 400
+        assert plans.fire_sets() == rewriting.fire_sets()
+        assert plans.fire_set("offered", "cancel")

@@ -304,17 +304,25 @@ class TestCongruenceByConstruction:
         ]
 
     def test_coverage_recording_falls_back(self):
+        # Coverage recording keeps the lemma: the table's and the
+        # lemma's plan applications record the equations the
+        # enumeration's successor snapshots fire.
         spec = APPLICATIONS["library"]().algebraic
-        algebra = TraceAlgebra(spec)
-        table = build_trace_table(algebra, 2)
-        reference = check_congruence(TraceAlgebra(spec), depth=2)
-        tracer = obs.Tracer()
-        with obs.activate(tracer, obs.CoverageRecorder()):
+        rewriting = obs.CoverageRecorder()
+        with obs.activate(coverage=rewriting):
+            reference = check_congruence(
+                TraceAlgebra(spec, packed=False), depth=2
+            )
+        plans, tracer = obs.CoverageRecorder(), obs.Tracer()
+        with obs.activate(tracer, plans):
+            algebra = TraceAlgebra(spec)
+            table = build_trace_table(algebra, 2)
             report = check_congruence(algebra, depth=2, table=table)
         _assert_same(reference, report)
         assert _path(tracer.counter_totals()) == [
-            "congruence.fallback.coverage"
+            "congruence.by_construction"
         ]
+        assert plans.fire_sets() == rewriting.fire_sets()
 
     def test_unpacked_algebra_falls_back(self):
         spec = APPLICATIONS["courses"]().algebraic

@@ -197,13 +197,21 @@ class TestFallbackCounters:
         }
 
     def test_coverage(self):
+        # Coverage records on the packed explorer's plan applications.
         from repro.obs import CoverageRecorder, activate
 
-        with activate(coverage=CoverageRecorder()):
+        plans, rewriting = CoverageRecorder(), CoverageRecorder()
+        with activate(coverage=plans):
             counters = self._explore_counters(
                 TraceAlgebra(courses_algebraic())
             )
-        assert counters == {"explore.fallback.coverage": 1}
+        with activate(coverage=rewriting):
+            self._explore_counters(
+                TraceAlgebra(courses_algebraic(), packed=False)
+            )
+        assert counters == {}
+        assert plans.fire_sets()
+        assert plans.fire_sets() == rewriting.fire_sets()
 
     def test_outside_fragment(self, monkeypatch):
         def outside(self, algebra):

@@ -221,9 +221,16 @@ class TestRows:
         assert "rewrite.evaluate.calls" not in counters
 
     def test_nothing_built_under_coverage_or_unpacked(self, frameworks):
+        # Only an unpacked algebra builds nothing; under coverage the
+        # table is built by plans, row for row the plain table.
         spec = frameworks["courses"].algebraic
-        with obs.activate(coverage=obs.CoverageRecorder()):
-            assert build_trace_table(TraceAlgebra(spec), 1) is None
+        tracer = obs.Tracer()
+        with obs.activate(tracer, obs.CoverageRecorder()):
+            covered = build_trace_table(TraceAlgebra(spec), 1)
+        plain = build_trace_table(TraceAlgebra(spec), 1)
+        assert covered.traces == plain.traces
+        assert covered.rows == plain.rows
+        assert tracer.counter_totals()["traces.by_plans"] == 1
         assert build_trace_table(TraceAlgebra(spec, packed=False), 1) is None
 
 

@@ -184,32 +184,6 @@ class TestObservabilityFlags:
         assert SWITCH.tracer is None
 
 
-class TestKernelStatsFields:
-    def test_stats_line_reports_arena(self, capsys):
-        assert main(["verify", "library", "--quiet", "--stats"]) == 0
-        out = capsys.readouterr().out
-        kernel_lines = [
-            line for line in out.splitlines() if "[kernel]" in line
-        ]
-        assert kernel_lines
-        for field in ("arena_terms=", "arena_bytes="):
-            assert all(field in line for line in kernel_lines), field
-
-    def test_metrics_json_reports_arena(self, tmp_path):
-        import json
-
-        path = tmp_path / "metrics.json"
-        assert main(
-            [
-                "verify", "library", "--quiet",
-                "--metrics-json", str(path),
-            ]
-        ) == 0
-        gauges = json.loads(path.read_text())["gauges"]
-        for name in ("kernel.arena.terms", "kernel.arena.bytes"):
-            assert name in gauges, name
-
-
 #: The checks of the framework graph, in schedule order.
 CHECKS = [
     "explore",

@@ -18,8 +18,6 @@ from repro.obs.switch import SWITCH, activate
 
 def _sample_recorder() -> CoverageRecorder:
     recorder = CoverageRecorder()
-    recorder.record_dispatch("offered", "offer")
-    recorder.record_dispatch("offered", "offer")
     recorder.record_fire("offered", "offer", 0)
     recorder.record_fire("offered", "cancel", 2)
     recorder.record_u_fire("enroll", 5)
@@ -36,7 +34,7 @@ class TestRecorder:
     def test_empty(self):
         recorder = CoverageRecorder()
         assert recorder.is_empty()
-        recorder.record_dispatch("q", "c")
+        recorder.record_fire("q", "c", 0)
         assert not recorder.is_empty()
 
     def test_payload_roundtrip(self):
@@ -45,8 +43,10 @@ class TestRecorder:
         rebuilt = CoverageRecorder.from_payload(payload)
         assert rebuilt.to_payload() == payload
         # Sets serialize as sorted lists, counts as ints.
-        assert payload["dispatch"]["offered|offer"] == 2
         assert payload["fired"]["offered|offer"] == [0]
+        assert payload["hyperrules"]["schema"] == 1
+        # Format 2 keeps no per-cell dispatch counts.
+        assert "dispatch" not in payload
 
     def test_payload_is_json_portable(self):
         payload = _sample_recorder().to_payload()
@@ -55,17 +55,15 @@ class TestRecorder:
     def test_merge_sums_counts_and_unions_sets(self):
         left = _sample_recorder()
         right = CoverageRecorder()
-        right.record_dispatch("offered", "offer")
         right.record_fire("offered", "offer", 1)
         right.record_hyperrule("schema")
         left.merge(right)
-        assert left.dispatch[("offered", "offer")] == 3
         assert left.fire_set("offered", "offer") == {0, 1}
         assert left.hyperrules["schema"] == 2
 
     def test_merge_is_commutative(self):
         a, b = _sample_recorder(), CoverageRecorder()
-        b.record_dispatch("takes", "enroll")
+        b.record_metanotion("TAG")
         b.record_fire("offered", "offer", 7)
         ab, ba = CoverageRecorder(), CoverageRecorder()
         ab.merge(a)
@@ -121,20 +119,20 @@ class TestSwitch:
         recorder = CoverageRecorder()
         with activate(coverage=recorder) as switch:
             assert switch.coverage is recorder
-            switch.coverage.record_dispatch("q", "c")
+            switch.coverage.record_fire("q", "c", 0)
         assert SWITCH.coverage is None
-        assert recorder.dispatch == {("q", "c"): 1}
+        assert recorder.fire_sets() == {("q", "c"): {0}}
 
     def test_activate_is_reentrant(self):
         outer, inner = CoverageRecorder(), CoverageRecorder()
         with activate(coverage=outer):
             with activate(coverage=inner):
-                SWITCH.coverage.record_dispatch("q", "c")
+                SWITCH.coverage.record_fire("q", "c", 0)
             # The outer recorder is active again, untouched by the
             # inner scope.
             assert SWITCH.coverage is outer
             assert outer.is_empty()
-        assert inner.dispatch == {("q", "c"): 1}
+        assert inner.fire_sets() == {("q", "c"): {0}}
         assert SWITCH.coverage is None
 
     def test_capture_merges_into_enclosing(self):
@@ -143,11 +141,11 @@ class TestSwitch:
         run, check = CoverageRecorder(), CoverageRecorder()
         with activate(coverage=run):
             with activate(coverage=check):
-                SWITCH.coverage.record_dispatch("q", "c")
+                SWITCH.coverage.record_fire("q", "c", 0)
             assert run.is_empty()
             run.merge(check)
-        assert check.dispatch == {("q", "c"): 1}
-        assert run.dispatch == {("q", "c"): 1}
+        assert check.fire_sets() == {("q", "c"): {0}}
+        assert run.fire_sets() == {("q", "c"): {0}}
 
     def test_capture_no_merge_keeps_facts_isolated(self):
         # The executor's chunk scope: the fresh recorder is shipped,
@@ -155,8 +153,8 @@ class TestSwitch:
         run, chunk = CoverageRecorder(), CoverageRecorder()
         with activate(coverage=run):
             with activate(coverage=chunk):
-                SWITCH.coverage.record_dispatch("q", "c")
-        assert chunk.dispatch == {("q", "c"): 1}
+                SWITCH.coverage.record_fire("q", "c", 0)
+        assert chunk.fire_sets() == {("q", "c"): {0}}
         assert run.is_empty()
 
 
@@ -170,7 +168,8 @@ class TestInstrumentation:
         with activate(coverage=recorder):
             result = framework.verify_pipeline(only=["completeness"])
         assert result.ok
-        assert recorder.dispatch
+        # The completeness sweep evaluates every cell on the rewrite
+        # engine, which records the equations it fires.
         assert recorder.fire_sets()
         # Fired indices name actual Q-equations of the spec.
         spec = framework.algebraic
@@ -195,7 +194,7 @@ class TestInstrumentation:
         # rewrite engine or the explorer.
         assert recorder.hyperrules
         assert recorder.metanotions
-        assert not recorder.dispatch
+        assert not recorder.fire_sets()
         assert recorder.explore is None
 
     def test_recognizer_counts_ignore_memo_warmth(self):
@@ -374,7 +373,6 @@ class TestPayloadDigest:
         payload = _sample_recorder().to_payload()
         projected = invariant_payload(payload)
         assert set(projected) == {
-            "dispatch",
             "hyperrules",
             "metanotions",
             "explore",
@@ -386,5 +384,5 @@ class TestPayloadDigest:
         recorder.record_fire("offered", "offer", 99)
         recorder.record_u_fire("cancel", 3)
         assert payload_digest(recorder.to_payload()) == baseline
-        recorder.record_dispatch("takes", "enroll")
+        recorder.record_hyperrule("schema")
         assert payload_digest(recorder.to_payload()) != baseline

@@ -86,8 +86,8 @@ class TestNesting:
         assert _slots() == (None, None, None)
 
 
-def _record_one_dispatch(context, arg):
-    SWITCH.coverage.record_dispatch("q", arg)
+def _record_one_fire(context, arg):
+    SWITCH.coverage.record_fire("q", arg, 0)
     return arg, {}
 
 
@@ -99,12 +99,12 @@ class TestChunkCoverage:
         run = CoverageRecorder()
         with activate(coverage=run):
             result, stats = _run_chunk(
-                (_record_one_dispatch, 0, "c"), context=None
+                (_record_one_fire, 0, "c"), context=None
             )
             assert SWITCH.coverage is run
         assert result == "c"
         assert run.is_empty()
-        assert stats.coverage["dispatch"] == {"q|c": 1}
+        assert stats.coverage["fired"] == {"q|c": [0]}
 
     def test_chunk_ships_nothing_with_coverage_off(self):
         _, stats = _run_chunk((lambda context, arg: (arg, {}), 0, 1), None)
@@ -143,8 +143,7 @@ class TestExactlyOnceFolding:
         # Induction and grammar fan out at two workers, one chunk each.
         assert len(chunks) == (0 if workers == 1 else 2)
         summed = _summed_check_payloads(result)
-        assert run.dispatch and run.hyperrules and run.metanotions
-        assert run.dispatch == summed.dispatch
+        assert run.fire_sets() and run.hyperrules and run.metanotions
         assert run.hyperrules == summed.hyperrules
         assert run.metanotions == summed.metanotions
         assert run.fire_sets() == summed.fire_sets()

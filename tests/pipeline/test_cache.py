@@ -75,6 +75,11 @@ class TestSerializers:
         assert payload == {"skipped": True}
         assert deserialize_result("induction", payload) is None
 
+    def test_skipped_grammar_round_trips_as_none(self):
+        payload = serialize_result("grammar", None)
+        assert payload == {"skipped": True}
+        assert deserialize_result("grammar", payload) is None
+
     def test_witness_bearing_reports_are_not_serializable(self):
         dirty = StaticConsistencyReport(
             ok=False, states_checked=5, violations=(("state", "why"),)

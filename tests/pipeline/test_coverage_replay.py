@@ -7,6 +7,8 @@ drop contributions, and ``--fail-fast``/``--only``/``--skip`` leave
 neither orphan spans nor out-of-scope coverage behind.
 """
 
+import json
+
 import pytest
 
 from repro.cli import APPLICATIONS
@@ -105,6 +107,22 @@ class TestCacheReplay:
             stored = cold_result.execution(execution.name).run.coverage
             assert execution.run.coverage == stored
 
+    def test_skipped_check_replays_as_skipped(self, tmp_path):
+        # bank's grammar check declines to run; a warm replay must say
+        # so too, or the coverage document's ``checks`` would change
+        # with cache warmth.
+        cold, warm = (
+            _run(
+                APPLICATIONS["bank"](),
+                CoverageRecorder(),
+                cache=ResultCache(tmp_path),
+            )
+            for _ in range(2)
+        )
+        assert cold.execution("grammar").run.skipped
+        assert warm.execution("grammar").status == "hit"
+        assert warm.execution("grammar").run.skipped
+
     def test_cross_population_replays_identically(self, tmp_path):
         """A cache written at workers=4 replays every check at
         workers=1 (no fingerprint depends on the worker count), and
@@ -151,6 +169,31 @@ class TestCacheReplay:
         )
         assert third.cache_hits == len(third.executions)
 
+    def test_format_3_entries_are_not_replayed(self, tmp_path):
+        # Format 3 payloads carry per-cell dispatch counts; a covered
+        # run must re-execute rather than replay them.
+        _run(
+            APPLICATIONS["courses"](),
+            CoverageRecorder(),
+            cache=ResultCache(tmp_path),
+        )
+        paths = sorted(tmp_path.glob("*.json"))
+        assert paths
+        for path in paths:
+            entry = json.loads(path.read_text())
+            entry["format"] = 3
+            entry["coverage"]["dispatch"] = {"offered|offer": 1}
+            path.write_text(json.dumps(entry))
+        recorder = CoverageRecorder()
+        rerun = _run(
+            APPLICATIONS["courses"](),
+            recorder,
+            cache=ResultCache(tmp_path),
+        )
+        assert rerun.cache_hits == 0
+        assert all(e.status == "ran" for e in rerun.executions)
+        assert "dispatch" not in recorder.to_payload()
+
     def test_coverage_run_entries_still_hit_with_coverage_off(
         self, tmp_path
     ):
@@ -179,7 +222,7 @@ class TestScoping:
         assert "grammar" not in result.selection
         assert not recorder.hyperrules
         assert not recorder.metanotions
-        assert recorder.dispatch
+        assert recorder.fire_sets()
 
     def test_only_scopes_coverage_to_selected_subgraph(self):
         recorder = CoverageRecorder()
@@ -188,7 +231,7 @@ class TestScoping:
         )
         assert result.ok
         assert recorder.hyperrules
-        assert not recorder.dispatch
+        assert not recorder.fire_sets()
         assert recorder.explore is None
 
     def test_fail_fast_leaves_no_orphan_spans(self):

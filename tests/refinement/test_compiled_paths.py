@@ -4,8 +4,8 @@ paths.
 Every per-state sweep except congruence evaluates closures compiled
 once per check: (b), (d), the induction invariant and (c) compile
 M(snapshot) and the constraints over its extensions, (a) and agreement
-evaluate each trace in one term-arena batch, and the Section 5.4 sweep
-compiles each equation.  Forcing a site onto its reference path (its
+read each trace's row off the shared trace table, and the Section 5.4
+sweep compiles each equation.  Forcing a site onto its reference path (its
 compile step raises) must give the same report, on the shipped
 applications, on the sixteen courses mutants, on one failing
 specification per check, and where a cell value leaves the carriers
@@ -384,20 +384,58 @@ class TestFallbackCounters:
         assert _fallbacks(counters) == {}
 
     @pytest.mark.parametrize(
-        "run,name",
+        "run,name,disabled",
         [
-            (_static, "static.fallback.coverage"),
-            (_transitions, "transitions.fallback.coverage"),
-            (_inclusion, "inclusion.fallback.coverage"),
-            (_induction, "induction.invariant_fallback.coverage"),
-            (_completeness, "completeness.fallback.coverage"),
-            (_agreement, "agreement.fallback.coverage"),
+            (
+                _static,
+                "static.fallback.coverage",
+                "static.fallback.disabled",
+            ),
+            (
+                _transitions,
+                "transitions.fallback.coverage",
+                "transitions.fallback.disabled",
+            ),
+            (
+                _inclusion,
+                "inclusion.fallback.coverage",
+                "inclusion.fallback.disabled",
+            ),
+            (
+                _induction,
+                "induction.invariant_fallback.coverage",
+                "induction.invariant_fallback.disabled",
+            ),
+            # (a) takes no algebra: without a shared table it evaluates
+            # its traces on the rewrite engine either way.
+            (_completeness, "completeness.fallback.coverage", None),
+            (
+                _agreement,
+                "agreement.fallback.coverage",
+                "agreement.fallback.disabled",
+            ),
         ],
     )
-    def test_coverage(self, run, name):
+    def test_coverage(self, run, name, disabled, monkeypatch):
+        # Coverage recording keeps the compiled path, so no
+        # ``coverage`` reason is counted.  Only an unpacked algebra
+        # takes the reference path, counted as ``disabled``.
+        design = _app("courses")
+        plain = run(design)
         with obs.activate(coverage=obs.CoverageRecorder()):
-            _, counters = _counted(lambda: run(_app("courses")))
-        assert counters[name] == 1
+            covered, counters = _counted(lambda: run(design))
+        assert name not in counters
+        assert _fallbacks(counters) == {}
+        assert str(covered) == str(plain)
+        monkeypatch.setattr(
+            design,
+            "algebra",
+            lambda: TraceAlgebra(design.spec, packed=False),
+        )
+        reference, counters = _counted(lambda: run(design))
+        assert str(reference) == str(plain)
+        if disabled is not None:
+            assert counters[disabled] == 1
 
     @pytest.mark.parametrize(
         "run,name",
@@ -479,23 +517,33 @@ class TestFallbackCounters:
         assert counters["completeness.cell_fallbacks"] >= 1
 
     @pytest.mark.parametrize("app", APPS)
-    def test_four_applications(self, app):
+    def test_four_applications(self, app, monkeypatch):
         framework = APPLICATIONS[app]()
         _, counters = _counted(framework.verify)
         assert _fallbacks(counters) == {}
         assert counters["congruence.by_construction"] == 1
+        # Coverage recording keeps every fast path.
         with obs.activate(coverage=obs.CoverageRecorder()):
             _, counters = _counted(framework.verify)
+        assert _fallbacks(counters) == {}
+        assert counters["congruence.by_construction"] == 1
+        assert counters["traces.by_plans"] == 1
+        # An unpacked algebra is the one switch to the reference paths.
+        monkeypatch.setattr(
+            type(framework),
+            "algebra",
+            lambda self: TraceAlgebra(self.algebraic, packed=False),
+        )
+        _, counters = _counted(framework.verify)
         assert _fallbacks(counters) == {
-            "explore.fallback.coverage": 1,
-            "static.fallback.coverage": 1,
-            "inclusion.fallback.coverage": 1,
-            "transitions.fallback.coverage": 1,
-            "induction.fallback.coverage": 1,
-            "induction.invariant_fallback.coverage": 1,
-            "completeness.fallback.coverage": 1,
-            "congruence.fallback.coverage": 1,
-            "agreement.fallback.coverage": 1,
+            "explore.fallback.disabled": 1,
+            "static.fallback.disabled": 1,
+            "inclusion.fallback.disabled": 1,
+            "transitions.fallback.disabled": 1,
+            "induction.fallback.disabled": 1,
+            "induction.invariant_fallback.disabled": 1,
+            "congruence.fallback.disabled": 1,
+            "agreement.fallback.disabled": 1,
         }
 
 
